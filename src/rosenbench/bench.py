@@ -276,9 +276,9 @@ def trajectory_csv(result: RunResult) -> str:
 
 def grid_csv(grid: ContourGrid) -> str:
     """Grid samples as x,y,f rows in row-major order."""
+    ys = [fmt_real(y) for y in grid.ys]
     lines = ["x,y,f"]
-    for i, x in enumerate(grid.xs):
-        row = grid.values[i]
-        for j, y in enumerate(grid.ys):
-            lines.append(f"{fmt_real(x)},{fmt_real(y)},{fmt_real(row[j])}")
+    for x, row in zip(grid.xs, grid.values):
+        x = fmt_real(x)
+        lines.extend(f"{x},{y},{f:.17g}" for y, f in zip(ys, row.tolist()))
     return "\n".join(lines) + "\n"

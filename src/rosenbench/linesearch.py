@@ -20,12 +20,12 @@ Six rules are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidDirectionError, InvalidInputError, LineSearchFailedError
-from .objectives import Objective, QuadraticObjective, Vector, as_vector
+from .objectives import Objective, QuadraticObjective, as_vector
 
 # Golden ratio conjugate: bracket width shrinks by this factor per probe.
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -78,6 +78,8 @@ class QuadraticFit:
     """
 
     sample_alphas: tuple[float, float, float] = DEFAULT_QUADFIT_SAMPLES
+    #: Rows (s*s, s, 1) of the interpolation system, built once per rule.
+    vandermonde: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         samples = tuple(float(a) for a in self.sample_alphas)
@@ -89,6 +91,7 @@ class QuadraticFit:
         for a in samples:
             if not (math.isfinite(a) and a >= 0.0):
                 raise InvalidInputError(f"sample abscissae must be finite and >= 0, got {a}")
+        object.__setattr__(self, "vandermonde", np.array([[a * a, a, 1.0] for a in samples]))
 
 
 @dataclass(frozen=True)
@@ -102,6 +105,10 @@ class RandomQuadraticFit:
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and 0.0 < self.lo < self.hi):
             raise InvalidInputError(f"need 0 < lo < hi, got ({self.lo}, {self.hi})")
+        # draw() retries until three abscissae differ, so [lo, hi] must hold
+        # floats besides lo and hi.
+        if math.nextafter(math.nextafter(self.lo, math.inf), math.inf) >= self.hi:
+            raise InvalidInputError(f"[{self.lo}, {self.hi}] holds too few floats for three samples")
 
     def draw(self, rng: np.random.Generator) -> QuadraticFit:
         """Draw three distinct abscissae (redraw on the measure-zero collision)."""
@@ -142,31 +149,54 @@ StepRule = Fixed | VariableCandidates | QuadraticFit | RandomQuadraticFit | Gold
 class LineRestriction:
     """The slice phi(a) = f(x + a*d) of an objective along direction d.
 
-    Overflow in the objective is mapped to +inf so selectors can treat
-    wild probes as ordinary non-finite values.
+    A probe fails when its point is not finite, its value is not finite, or
+    the objective raises OverflowError or InvalidInputError there; a failed
+    probe reads +inf, so selectors treat it as an ordinary non-finite value.
     """
 
-    def __init__(self, objective: Objective, x: Vector, d: Vector):
+    def __init__(self, objective: Objective, x, d):
         self.objective = objective
         self.x = x
         self.d = d
 
-    def point_at(self, alpha: float) -> Vector:
-        return self.x + alpha * self.d
-
     def __call__(self, alpha: float) -> float:
         try:
-            return self.objective.value(self.x + alpha * self.d)
-        except OverflowError:
+            y = self._probe(alpha)
+        except (InvalidInputError, OverflowError):
             return math.inf
+        return y if math.isfinite(y) else math.inf
+
+    def _probe(self, alpha: float) -> float:
+        """phi(alpha), or nan when the probe point is not finite."""
+        with np.errstate(all="ignore"):
+            point = self.x + alpha * self.d
+            return self.objective.value(point) if np.isfinite(point).all() else math.nan
+
+
+class PairRestriction(LineRestriction):
+    """A restriction of an objective with a fused two-dimensional kernel.
+
+    `x` and `d` are pairs of Python floats and each probe is one call of
+    ``value_and_gradient``; phi agrees bit for bit with LineRestriction.
+    """
+
+    def _probe(self, alpha: float) -> float:
+        x1, x2 = self.x
+        d1, d2 = self.d
+        p1 = x1 + alpha * d1
+        p2 = x2 + alpha * d2
+        if math.isfinite(p1) and math.isfinite(p2):
+            return self.objective.value_and_gradient((p1, p2))[0]
+        return math.nan
 
 
 def restrict(objective: Objective, x, d) -> LineRestriction:
     """Build the restriction phi(a) = f(x + a*d); phi(0) equals f(x).
 
-    Raises InvalidDirectionError for a zero direction.
+    Raises InvalidInputError for a point of the wrong dimension and
+    InvalidDirectionError for a zero or non-finite direction.
     """
-    x = as_vector(x)
+    x = as_vector(x, getattr(objective, "dim", None))
     d = np.asarray(d, dtype=np.float64)
     if d.shape != x.shape:
         raise InvalidInputError(f"direction shape {d.shape} does not match point shape {x.shape}")
@@ -174,12 +204,9 @@ def restrict(objective: Objective, x, d) -> LineRestriction:
         raise InvalidDirectionError(f"direction has non-finite components: {d}")
     if not np.any(d != 0.0):
         raise InvalidDirectionError("direction must be nonzero")
+    if hasattr(objective, "value_and_gradient"):
+        return PairRestriction(objective, tuple(x.tolist()), tuple(d.tolist()))
     return LineRestriction(objective, x, d)
-
-
-def select_fixed(rule: Fixed) -> float:
-    """The constant step, independent of the restriction."""
-    return rule.alpha
 
 
 def select_variable(line: LineRestriction, rule: VariableCandidates) -> float:
@@ -217,20 +244,18 @@ def select_quadratic_fit(line: LineRestriction, rule: QuadraticFit) -> float:
     vertex; otherwise the best positive sampled abscissa.
     """
     s = rule.sample_alphas
-    y = np.array([line(s[0]), line(s[1]), line(s[2])])
-    coeffs = None
-    if np.isfinite(y).all():
-        vandermonde = np.array([[si * si, si, 1.0] for si in s])
+    y = (line(s[0]), line(s[1]), line(s[2]))
+    if all(map(math.isfinite, y)):
         try:
-            coeffs = np.linalg.solve(vandermonde, y)
+            coeffs = np.linalg.solve(rule.vandermonde, y)
         except np.linalg.LinAlgError:
-            coeffs = None
-    if coeffs is not None:
-        a, b = coeffs[0], coeffs[1]
-        if a > _MIN_FIT_CURVATURE:
-            vertex = -b / (2.0 * a)
-            if vertex > 0.0 and math.isfinite(vertex):
-                return vertex
+            pass
+        else:
+            a, b = float(coeffs[0]), float(coeffs[1])
+            if a > _MIN_FIT_CURVATURE:
+                vertex = -b / (2.0 * a)
+                if vertex > 0.0 and math.isfinite(vertex):
+                    return vertex
     return _fallback_sample(s, y)
 
 
@@ -294,7 +319,7 @@ def select_step(
     across a run so every iteration draws fresh abscissae from one stream.
     """
     if isinstance(rule, Fixed):
-        return select_fixed(rule)
+        return rule.alpha
     if isinstance(rule, VariableCandidates):
         return select_variable(line, rule)
     if isinstance(rule, QuadraticFit):

@@ -34,6 +34,13 @@ class Objective(Protocol):
     """A real function of an n-vector with first and second derivatives.
 
     ``hessian`` may raise for objectives that do not supply one.
+
+    A two-dimensional objective may also define ``value_and_gradient(x)``:
+    ``x`` is a pair of finite Python floats, already validated, and the
+    result is ``(f, (g1, g2))`` in floats, bit for bit equal to ``value``
+    and ``gradient``.  The drivers and line restrictions then carry their
+    points as float pairs and call only that method, so a subclass that
+    overrides ``value`` or ``gradient`` must override it too.
     """
 
     def value(self, x: Vector) -> float: ...
@@ -121,6 +128,18 @@ class RosenbrockObjective:
     def hessian(self, x) -> Matrix:
         return rosenbrock_hessian(x, self.kappa)
 
+    def value_and_gradient(self, x) -> tuple[float, tuple[float, float]]:
+        """Fused f and grad f at a validated pair of floats (see Objective).
+
+        Unchecked, and in the operation order of rosenbrock_value and
+        rosenbrock_gradient, so both agree with it to the bit.
+        """
+        x1, x2 = x
+        k = self.kappa
+        t = x1 * x1 - x2
+        u = x1 - 1.0
+        return k * t * t + u * u, (4.0 * k * x1 * t + 2.0 * u, -2.0 * k * t)
+
 
 class QuadraticObjective:
     """Strictly convex quadratic 0.5 x'Qx - x'b with symmetric positive-definite Q.
@@ -168,20 +187,6 @@ class QuadraticObjective:
     def minimizer(self) -> Vector:
         """Solve Q x = b for the unique stationary point."""
         return np.linalg.solve(self.Q, self.b)
-
-
-def quadratic_value(p, Q, b) -> float:
-    return QuadraticObjective(Q, b).value(p)
-
-
-def quadratic_gradient(p, Q, b) -> Vector:
-    return QuadraticObjective(Q, b).gradient(p)
-
-
-def quadratic_hessian(Q, b=None) -> Matrix:
-    Q = np.asarray(Q, dtype=np.float64)
-    b = np.zeros(Q.shape[0]) if b is None else b
-    return QuadraticObjective(Q, b).hessian(np.zeros(Q.shape[0]))
 
 
 def finite_diff_gradient(f: Objective, p, h: float = DEFAULT_GRADIENT_STEP) -> Vector:

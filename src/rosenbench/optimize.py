@@ -23,7 +23,15 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidInputError, LineSearchFailedError
-from .linesearch import ExactQuadratic, Fixed, StepRule, restrict, rule_rng, select_step
+from .linesearch import (
+    ExactQuadratic,
+    Fixed,
+    LineRestriction,
+    PairRestriction,
+    StepRule,
+    rule_rng,
+    select_step,
+)
 from .objectives import Objective, QuadraticObjective, Vector, as_vector
 
 
@@ -113,24 +121,42 @@ def detect_divergence(x, value: float, policy: TerminationPolicy) -> DivergenceR
 
 
 def fletcher_reeves_beta(g_next, g) -> float:
-    """Direction-mixing coefficient: squared-norm ratio (g_next'g_next)/(g'g)."""
-    return float(g_next @ g_next) / float(g @ g)
+    """Direction-mixing coefficient: squared-norm ratio (g_next'g_next)/(g'g).
+
+    The squares are numpy dot products, whose rounding the pinned CG results
+    depend on; one that overflows is inf, without a warning.  Should g'g
+    underflow to zero, the ratio is taken of norms instead.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = float(np.dot(g_next, g_next))
+        den = float(np.dot(g, g))
+    if den == 0.0:
+        r = math.hypot(*g_next) / math.hypot(*g)
+        return r * r
+    return num / den
 
 
-class _Recorder:
-    """Collects trajectory records; when off, keeps only the endpoints."""
+def _neg_pair(v):
+    return (-v[0], -v[1])
 
-    def __init__(self, enabled: bool):
-        self.enabled = enabled
-        self.records: list[IterateRecord] = []
 
-    def add(self, k: int, x: Vector, value: float, grad_norm: float, alpha: float):
-        if self.enabled or k == 0:
-            self.records.append(IterateRecord(k, x.copy(), value, grad_norm, alpha))
+def _axpy_pair(x, a, d):
+    return (x[0] + a * d[0], x[1] + a * d[1])
 
-    def add_final(self, k: int, x: Vector, value: float, grad_norm: float, alpha: float):
-        if not self.enabled and k > 0:
-            self.records.append(IterateRecord(k, x.copy(), value, grad_norm, alpha))
+
+def _neg(v):
+    return -v
+
+
+def _axpy(x, a, d):
+    return x + a * d
+
+
+def _finish(trajectory, status, k, x, f, gn, alpha, reason=None) -> RunResult:
+    """Record the final iterate (unless it already is the last record) and close the run."""
+    if not trajectory or trajectory[-1].k != k:
+        trajectory.append(IterateRecord(k, np.array(x), f, gn, alpha))
+    return RunResult(status, k, np.array(x), f, gn, trajectory, reason)
 
 
 def _descent_loop(
@@ -139,68 +165,79 @@ def _descent_loop(
     rule: StepRule,
     policy: TerminationPolicy,
     record_trajectory: bool,
-    next_direction,
+    mix=None,
 ) -> RunResult:
     """Shared skeleton for the two first-order drivers.
 
-    `next_direction(g, k)` supplies the search direction for iteration k;
-    steepest descent ignores history, Fletcher-Reeves mixes it in.
+    The direction is -g, plus `mix(g, g_prev, k)` times the previous
+    direction when `mix` is given and returns a number rather than None:
+    steepest descent has no `mix`, Fletcher-Reeves supplies its beta.
+
+    The start is validated once.  An objective with a fused
+    ``value_and_gradient`` then has its iterate carried as a pair of Python
+    floats; any other is evaluated through ``value`` and ``gradient`` at
+    ndarrays.  Points become ndarrays only in the records and the result.
     """
     if isinstance(rule, ExactQuadratic) and not isinstance(objective, QuadraticObjective):
         raise InvalidInputError("the exact-quadratic rule requires a QuadraticObjective")
     x = as_vector(x0, getattr(objective, "dim", None))
+    if hasattr(objective, "value_and_gradient"):
+        x = tuple(x.tolist())
+        evaluate, neg, axpy, line = (objective.value_and_gradient, _neg_pair, _axpy_pair,
+                                     PairRestriction)
+    else:
+        value_at, gradient_at = objective.value, objective.gradient
+
+        def evaluate(x):
+            return value_at(x), gradient_at(x)
+
+        neg, axpy, line = _neg, _axpy, LineRestriction
     rng = rule_rng(rule)
-    rec = _Recorder(record_trajectory)
-    # Hot loop: bind lookups once; Fixed needs no restriction object at all.
-    value_at = objective.value
-    gradient_at = objective.gradient
     eps = policy.epsilon
     blowup = policy.blowup_norm
     cap = policy.max_iterations
-    fixed_alpha = rule.alpha if isinstance(rule, Fixed) else None
+    fixed_alpha = float(rule.alpha) if isinstance(rule, Fixed) else None
     hypot = math.hypot
     isfinite = math.isfinite
-    alpha_prev = 0.0
+    trajectory: list[IterateRecord] = []
+    alpha = 0.0  # the step that produced x
+    g_prev = d = None
     k = 0
     while True:
+        xn = hypot(*x)
         try:
-            f = value_at(x)
-            g = gradient_at(x)
+            if not (isfinite(xn) or all(map(isfinite, x))):
+                raise InvalidInputError("non-finite iterate")
+            f, g = evaluate(x)
             gn = hypot(*g)
         except (InvalidInputError, OverflowError):
-            # The objective refused a non-finite iterate.
-            rec.add(k, x, math.nan, math.nan, alpha_prev)
-            rec.add_final(k, x, math.nan, math.nan, alpha_prev)
-            return RunResult(RunStatus.DIVERGED, k, x, math.nan, math.nan, rec.records,
-                             DivergenceReason.NON_FINITE_VALUE)
-        rec.add(k, x, f, gn, alpha_prev)
+            # The iterate is not finite, or the objective refused it.
+            return _finish(trajectory, RunStatus.DIVERGED, k, x, math.nan, math.nan, alpha,
+                           DivergenceReason.NON_FINITE_VALUE)
+        if record_trajectory or k == 0:
+            trajectory.append(IterateRecord(k, np.array(x), f, gn, alpha))
         if gn <= eps:
-            rec.add_final(k, x, f, gn, alpha_prev)
-            return RunResult(RunStatus.CONVERGED, k, x, f, gn, rec.records)
-        xn = hypot(*x)
+            return _finish(trajectory, RunStatus.CONVERGED, k, x, f, gn, alpha)
         if xn > blowup:
-            rec.add_final(k, x, f, gn, alpha_prev)
-            return RunResult(RunStatus.DIVERGED, k, x, f, gn, rec.records,
-                             DivergenceReason.ITERATE_BLOWUP)
+            return _finish(trajectory, RunStatus.DIVERGED, k, x, f, gn, alpha,
+                           DivergenceReason.ITERATE_BLOWUP)
         if not (isfinite(xn) and isfinite(f)):
-            rec.add_final(k, x, f, gn, alpha_prev)
-            return RunResult(RunStatus.DIVERGED, k, x, f, gn, rec.records,
-                             DivergenceReason.NON_FINITE_VALUE)
+            return _finish(trajectory, RunStatus.DIVERGED, k, x, f, gn, alpha,
+                           DivergenceReason.NON_FINITE_VALUE)
         if k == cap:
-            rec.add_final(k, x, f, gn, alpha_prev)
-            return RunResult(RunStatus.MAX_ITERATIONS, k, x, f, gn, rec.records)
-        d = next_direction(g, k)
+            return _finish(trajectory, RunStatus.MAX_ITERATIONS, k, x, f, gn, alpha)
+        beta = None if mix is None else mix(g, g_prev, k)
+        d = neg(g) if beta is None else axpy(neg(g), beta, d)
+        g_prev = g
         if fixed_alpha is not None:
             alpha = fixed_alpha
         else:
             try:
-                alpha = select_step(restrict(objective, x, d), rule, rng)
+                alpha = float(select_step(line(objective, x, d), rule, rng))
             except LineSearchFailedError:
-                rec.add_final(k, x, f, gn, alpha_prev)
-                return RunResult(RunStatus.DIVERGED, k, x, f, gn, rec.records,
-                                 DivergenceReason.NON_FINITE_VALUE)
-        x = x + alpha * d
-        alpha_prev = alpha
+                return _finish(trajectory, RunStatus.DIVERGED, k, x, f, gn, alpha,
+                               DivergenceReason.NON_FINITE_VALUE)
+        x = axpy(x, alpha, d)
         k += 1
 
 
@@ -216,11 +253,7 @@ def steepest_descent(
     Iterates x(k+1) = x(k) - alpha(k) * grad f(x(k)), with alpha(k) chosen
     by `rule` on the restriction along -grad f(x(k)).
     """
-
-    def direction(g, k):
-        return -g
-
-    return _descent_loop(objective, x0, rule, policy, record_trajectory, direction)
+    return _descent_loop(objective, x0, rule, policy, record_trajectory)
 
 
 def fletcher_reeves_cg(
@@ -243,19 +276,12 @@ def fletcher_reeves_cg(
     if restart_period is not None and restart_period < 1:
         raise InvalidInputError(f"restart_period must be >= 1, got {restart_period}")
 
-    state = {"g": None, "d": None}
+    def mix(g, g_prev, k):
+        if k == 0 or (restart_period is not None and k % restart_period == 0):
+            return None
+        return fletcher_reeves_beta(g, g_prev)
 
-    def direction(g, k):
-        if state["d"] is None or (restart_period is not None and k % restart_period == 0):
-            d = -g
-        else:
-            beta = fletcher_reeves_beta(g, state["g"])
-            d = -g + beta * state["d"]
-        state["g"] = g
-        state["d"] = d
-        return d
-
-    return _descent_loop(objective, x0, rule, policy, record_trajectory, direction)
+    return _descent_loop(objective, x0, rule, policy, record_trajectory, mix)
 
 
 def newton_raphson(
@@ -272,7 +298,7 @@ def newton_raphson(
     diverged (singular Hessian); no definiteness repair is attempted.
     """
     x = as_vector(x0, getattr(objective, "dim", None))
-    rec = _Recorder(record_trajectory)
+    trajectory: list[IterateRecord] = []
     k = 0
     while True:
         try:
@@ -280,28 +306,23 @@ def newton_raphson(
             g = objective.gradient(x)
             gn = _norm(g)
         except (InvalidInputError, OverflowError):
-            rec.add(k, x, math.nan, math.nan, 0.0)
-            rec.add_final(k, x, math.nan, math.nan, 0.0)
-            return RunResult(RunStatus.DIVERGED, k, x, math.nan, math.nan, rec.records,
-                             DivergenceReason.NON_FINITE_VALUE)
-        rec.add(k, x, f, gn, 0.0)
+            return _finish(trajectory, RunStatus.DIVERGED, k, x, math.nan, math.nan, 0.0,
+                           DivergenceReason.NON_FINITE_VALUE)
+        if record_trajectory or k == 0:
+            trajectory.append(IterateRecord(k, x.copy(), f, gn, 0.0))
         if gn <= policy.epsilon:
-            rec.add_final(k, x, f, gn, 0.0)
-            return RunResult(RunStatus.CONVERGED, k, x, f, gn, rec.records)
+            return _finish(trajectory, RunStatus.CONVERGED, k, x, f, gn, 0.0)
         reason = detect_divergence(x, f, policy)
         if reason is not None:
-            rec.add_final(k, x, f, gn, 0.0)
-            return RunResult(RunStatus.DIVERGED, k, x, f, gn, rec.records, reason)
+            return _finish(trajectory, RunStatus.DIVERGED, k, x, f, gn, 0.0, reason)
         if k == policy.max_iterations:
-            rec.add_final(k, x, f, gn, 0.0)
-            return RunResult(RunStatus.MAX_ITERATIONS, k, x, f, gn, rec.records)
+            return _finish(trajectory, RunStatus.MAX_ITERATIONS, k, x, f, gn, 0.0)
         H = objective.hessian(x)
         # |det H| <= 1e-12 * scale^n, tested on H/scale to avoid overflow.
         scale = float(np.linalg.norm(H, "fro"))
         if not (math.isfinite(scale) and scale > 0.0) or abs(float(np.linalg.det(H / scale))) <= 1e-12:
-            rec.add_final(k, x, f, gn, 0.0)
-            return RunResult(RunStatus.DIVERGED, k, x, f, gn, rec.records,
-                             DivergenceReason.SINGULAR_HESSIAN)
+            return _finish(trajectory, RunStatus.DIVERGED, k, x, f, gn, 0.0,
+                           DivergenceReason.SINGULAR_HESSIAN)
         x = x - np.linalg.solve(H, g)
         k += 1
 

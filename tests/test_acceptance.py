@@ -8,7 +8,9 @@ derivative correctness and line-search/CG theory; 11 asserts determinism.
 Stopping rule throughout: gradient norm <= 1e-3.
 """
 
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,10 +37,13 @@ from rosenbench import (
     rosenbrock_gradient,
     rosenbrock_hessian,
     run_matrix,
+    steepest_descent,
+    trajectory_csv,
 )
 from rosenbench.bench import rule_label
 from rosenbench.linesearch import select_golden_section, select_quadratic_fit, select_variable
 
+GOLDENS = Path(__file__).resolve().parent.parent / "rosenperf" / "goldens"
 EPSILON = 1e-3
 STARTS = ((2.0, 2.0), (5.0, 5.0))
 KAPPAS = (1.0, 100.0)
@@ -315,3 +320,34 @@ def test_criterion_11_determinism(rows):
     ok = strip(first) == strip(second)
     report("11 (bench matrix determinism)", ok)
     assert ok
+
+
+def _strip_wall_ms(text: str) -> list[str]:
+    return [line.rsplit(",", 1)[0] for line in text.splitlines()]
+
+
+def test_matrix_bits_match_golden(rows):
+    # Every iteration count, final value and gradient norm of the study, as
+    # the benchmark's golden pinned them.
+    golden = (GOLDENS / "matrix.csv").read_text().splitlines()
+    got = _strip_wall_ms(results_csv(rows))
+    mismatched = [f"{g!r} != {w!r}" for g, w in zip(got, golden) if g != w]
+    report("matrix bits (results CSV vs golden)", got == golden, "; ".join(mismatched[:2]))
+    assert got == golden
+
+
+def test_trajectory_bits_match_golden():
+    # Whole recorded trajectories: every iterate, value, norm and step.
+    digests = {}
+    for line in (GOLDENS / "emit.csv").read_text().splitlines():
+        label, _, digest, _ = line.split(",", 3)
+        digests[label] = digest
+    runs = {
+        "run-sd": steepest_descent(RosenbrockObjective(1.0), (5.0, 5.0), Fixed(0.00124)),
+        "run-cg": fletcher_reeves_cg(RosenbrockObjective(100.0), (2.0, 2.0), Fixed(0.000124)),
+    }
+    got = {label: hashlib.sha256(trajectory_csv(r).encode()).hexdigest()
+           for label, r in runs.items()}
+    ok = all(got[label] == digests[label] for label in runs)
+    report("trajectory bits (sha256 vs golden)", ok)
+    assert ok, got

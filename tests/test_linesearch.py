@@ -1,6 +1,7 @@
 """Tests for the step-size selection rules."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from rosenbench import (
 )
 from rosenbench.linesearch import (
     INV_PHI,
+    LineRestriction,
+    PairRestriction,
     select_exact_quadratic,
-    select_fixed,
     select_golden_section,
     select_quadratic_fit,
     select_step,
@@ -66,6 +68,50 @@ class TestRestrict:
         line = scalar_line(lambda t: math.exp(t))
         assert line(1e6) == math.inf
 
+    def test_point_dimension_checked_against_objective(self):
+        with pytest.raises(InvalidInputError):
+            restrict(RosenbrockObjective(1.0), (1.0, 2.0, 3.0), (1.0, 0.0, 0.0))
+
+    def test_valley_restriction_probes_on_floats(self):
+        # restrict() on the valley probes through the fused kernel; phi
+        # agrees bit for bit with the ndarray restriction through value().
+        rng = np.random.default_rng(19)
+        for _ in range(50):
+            obj = RosenbrockObjective(float(rng.uniform(0.5, 150.0)))
+            x, d = rng.uniform(-3.0, 3.0, 2), rng.standard_normal(2)
+            line = restrict(obj, x, d)
+            assert isinstance(line, PairRestriction)
+            generic = LineRestriction(obj, x, d)
+            for a in 10.0 ** rng.uniform(-6.0, 1.0, 5):
+                assert line(a) == generic(a)
+
+
+class TestFailedProbes:
+    """Every failed probe reads +inf, silently, whatever the point type."""
+
+    def test_nonfinite_point_on_valley(self):
+        line = restrict(RosenbrockObjective(100.0), (5.0, 5.0), (-1.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert line(1e308 * 10.0) == math.inf
+            assert line(1e306) == math.inf
+
+    def test_nonfinite_point_on_ndarray_path(self):
+        line = restrict(QuadraticObjective(np.eye(2), [0.0, 0.0]), [5.0, 5.0], [-1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert line(1e308 * 10.0) == math.inf
+            assert line(1e306) == math.inf  # finite point, value overflows
+
+    def test_nan_value_reads_inf(self):
+        assert scalar_line(lambda t: math.nan)(0.5) == math.inf
+
+    def test_refused_point_reads_inf(self):
+        def refuse(t):
+            raise InvalidInputError("outside the domain")
+
+        assert scalar_line(refuse)(0.5) == math.inf
+
 
 class TestRuleValidation:
     def test_fixed_must_be_positive(self):
@@ -98,11 +144,27 @@ class TestRuleValidation:
         with pytest.raises(InvalidInputError):
             RandomQuadraticFit(2e-4, 1e-4)
 
+    def test_random_quadfit_range_must_hold_three_samples(self):
+        # Three distinct draws from [1, 1 + 2 ulp] could never be found.
+        two_ulps = math.nextafter(math.nextafter(1.0, 2.0), 2.0)
+        for hi in (math.nextafter(1.0, 2.0), two_ulps):
+            with pytest.raises(InvalidInputError):
+                RandomQuadraticFit(1.0, hi)
+        rule = RandomQuadraticFit(1.0, math.nextafter(two_ulps, 2.0))
+        assert len(set(rule.draw(np.random.default_rng(0)).sample_alphas)) == 3
+
+    def test_quadfit_system_built_with_the_rule(self):
+        rule = QuadraticFit((1.0, 2.0, 3.0))
+        assert_allclose(rule.vandermonde, [[1, 1, 1], [4, 2, 1], [9, 3, 1]], rtol=0, atol=0)
+        assert rule == QuadraticFit((1.0, 2.0, 3.0))
+        assert hash(rule) == hash(QuadraticFit((1.0, 2.0, 3.0)))
+        assert "vandermonde" not in repr(rule)
+
 
 class TestFixed:
     @pytest.mark.parametrize("alpha", [0.124, 0.000124, 1.0])
     def test_passthrough(self, alpha):
-        assert select_fixed(Fixed(alpha)) == alpha
+        assert select_step(scalar_line(lambda t: t), Fixed(alpha)) == alpha
 
 
 class TestVariable:
@@ -249,7 +311,7 @@ class TestExactQuadratic:
         line = restrict(q, [3.0, 0.0], [-3.0, 0.0])
         alpha = select_exact_quadratic(line)
         assert alpha == 1.0
-        assert_allclose(line.point_at(alpha), [0.0, 0.0], atol=0)
+        assert_allclose(line.x + alpha * line.d, [0.0, 0.0], atol=0)
 
     def test_diagonal_example(self):
         q = QuadraticObjective(np.diag([2.0, 4.0]), [0.0, 0.0])
@@ -266,7 +328,7 @@ class TestExactQuadratic:
             d = rng.standard_normal(n)
             line = restrict(q, x, d)
             alpha = select_exact_quadratic(line)
-            g_land = q.gradient(line.point_at(alpha))
+            g_land = q.gradient(line.x + alpha * line.d)
             assert abs(float(g_land @ d)) <= 1e-10 * max(1.0, float(d @ d))
 
     def test_requires_quadratic_objective(self):

@@ -16,7 +16,7 @@ from rosenbench import (
     rosenbrock_hessian,
     rosenbrock_value,
 )
-from rosenbench.objectives import as_vector, quadratic_gradient, quadratic_value
+from rosenbench.objectives import as_vector
 
 
 @pytest.mark.parametrize(
@@ -66,6 +66,21 @@ def test_nonfinite_input_rejected(bad):
         rosenbrock_hessian(bad, 1.0)
 
 
+@pytest.mark.parametrize("kappa", [1.0, 100.0, 3.7e-5, 2.9e11])
+def test_fused_value_and_gradient_bit_identical(kappa):
+    # The drivers evaluate the valley only through the fused method, so it
+    # must agree with value and gradient to the last bit.
+    obj = RosenbrockObjective(kappa)
+    rng = np.random.default_rng(7)
+    points = [(1.0, 1.0), (2.0, 2.0), (-1.2, 1.0), (1e150, -3.0), (0.0, 1e200)]
+    points += [tuple(p) for p in rng.uniform(-10.0, 10.0, (200, 2)).tolist()]
+    for p in points:
+        f, g = obj.value_and_gradient(p)
+        assert type(f) is float and all(type(c) is float for c in g)
+        assert f == obj.value(p)
+        assert np.array_equal(np.array(g), obj.gradient(p))
+
+
 def test_wrong_dimension_rejected():
     with pytest.raises(InvalidInputError):
         rosenbrock_value((1.0, 2.0, 3.0), 1.0)
@@ -102,7 +117,7 @@ class TestQuadraticObjective:
         assert_allclose(q.minimizer(), [1.0, 1.0])
 
     def test_value_example(self):
-        assert quadratic_value([1.0, 1.0], np.diag([2.0, 4.0]), [0.0, 0.0]) == 3.0
+        assert QuadraticObjective(np.diag([2.0, 4.0]), [0.0, 0.0]).value([1.0, 1.0]) == 3.0
 
     def test_hessian_is_Q(self):
         Q = np.array([[3.0, 1.0], [1.0, 2.0]])

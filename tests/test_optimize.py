@@ -1,6 +1,7 @@
 """Tests for the iteration drivers and termination policy."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,11 @@ from rosenbench import (
     DivergenceReason,
     ExactQuadratic,
     Fixed,
+    GoldenSection,
     InvalidInputError,
+    QuadraticFit,
     QuadraticObjective,
+    RandomQuadraticFit,
     RosenbrockObjective,
     RunStatus,
     TerminationPolicy,
@@ -193,6 +197,92 @@ class TestSteepestDescent:
         assert r.iterations == 0
 
 
+class DuckValley:
+    """The valley through value and gradient only, so drivers take the ndarray path."""
+
+    def __init__(self, kappa):
+        self.valley = RosenbrockObjective(kappa)
+
+    def value(self, x):
+        return self.valley.value(x)
+
+    def gradient(self, x):
+        return self.valley.gradient(x)
+
+
+def assert_same_run(a, b):
+    assert (a.status, a.divergence_reason, a.iterations) == (b.status, b.divergence_reason,
+                                                             b.iterations)
+    assert a.final_point.tobytes() == b.final_point.tobytes()
+    assert (a.final_value, a.final_grad_norm) == (b.final_value, b.final_grad_norm)
+    assert [(r.k, r.point.tobytes(), r.value, r.grad_norm, r.alpha_used) for r in a.trajectory] \
+        == [(r.k, r.point.tobytes(), r.value, r.grad_norm, r.alpha_used) for r in b.trajectory]
+
+
+class TestFloatPath:
+    """The valley's float-pair path against the generic ndarray path."""
+
+    @pytest.mark.parametrize("driver", [steepest_descent, fletcher_reeves_cg])
+    @pytest.mark.parametrize("rule", [
+        Fixed(0.0124), Fixed(0.000124), VariableCandidates(), QuadraticFit(), GoldenSection(),
+        RandomQuadraticFit(seed=3),
+    ], ids=lambda rule: type(rule).__name__)
+    def test_same_bits_as_duck_typed_objective(self, driver, rule):
+        policy = TerminationPolicy(max_iterations=300)
+        for kappa, x0 in ((1.0, (2.0, 2.0)), (100.0, (-1.2, 1.0)), (100.0, (5.0, 5.0))):
+            fused = driver(RosenbrockObjective(kappa), x0, rule, policy)
+            generic = driver(DuckValley(kappa), x0, rule, policy)
+            assert_same_run(fused, generic)
+
+    def test_nonfinite_iterate_diverges_quietly(self):
+        # With no blow-up bound the step overflows to inf; the iterate is
+        # refused without being evaluated.
+        policy = TerminationPolicy(blowup_norm=math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = steepest_descent(RosenbrockObjective(1.0), (1e70, 0.0), Fixed(1e100), policy)
+        assert r.status is RunStatus.DIVERGED
+        assert r.divergence_reason is DivergenceReason.NON_FINITE_VALUE
+        assert r.iterations == 1
+        assert math.isnan(r.final_value) and math.isnan(r.final_grad_norm)
+        assert not np.isfinite(r.final_point).all()
+
+    def test_start_array_is_not_aliased(self):
+        x0 = np.array([1.0, 1.0])
+        r = steepest_descent(RosenbrockObjective(1.0), x0, Fixed(0.1))
+        x0[0] = 7.0
+        assert r.final_point[0] == 1.0 and r.trajectory[0].point[0] == 1.0
+
+
+class TestFailedProbeRepro:
+    """A probe whose point overflows reads +inf; the finite candidate wins.
+
+    The first case is the item-2 repro of the roadmap, capped at 20 steps
+    (uncapped it converges after 239,606).
+    """
+
+    POLICY = TerminationPolicy(max_iterations=20, blowup_norm=1e300)
+
+    @pytest.mark.parametrize("rule", [VariableCandidates((1e-4, 1e306)),
+                                      QuadraticFit((1e-4, 1e300, 1e306))],
+                             ids=["variable", "quadfit"])
+    def test_overflowing_candidate_is_skipped(self, rule):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = steepest_descent(RosenbrockObjective(100.0), (5.0, 5.0), rule, self.POLICY)
+        assert r.status is RunStatus.MAX_ITERATIONS
+        assert [rec.alpha_used for rec in r.trajectory[1:]] == [1e-4] * 20
+
+    def test_ndarray_path_probe_is_contained(self):
+        q = QuadraticObjective(np.diag([1.0, 2.0]), [0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = steepest_descent(q, (5.0, 5.0), VariableCandidates((0.1, 1e306)),
+                                 TerminationPolicy(blowup_norm=1e300))
+        assert r.status is RunStatus.CONVERGED
+        assert all(rec.alpha_used == 0.1 for rec in r.trajectory[1:])
+
+
 class TestNewtonRaphson:
     def test_two_step_run_from_origin(self):
         r = newton_raphson(RosenbrockObjective(1.0), (0.0, 0.0))
@@ -229,6 +319,16 @@ class TestNewtonRaphson:
 class TestFletcherReeves:
     def test_beta_is_squared_norm_ratio(self):
         assert fletcher_reeves_beta(np.array([2.0, 0.0]), np.array([1.0, 0.0])) == 4.0
+        assert fletcher_reeves_beta((2.0, 0.0), (1.0, 0.0)) == 4.0
+
+    def test_beta_when_squares_underflow(self):
+        # g'g = 1e-340 underflows to zero; the ratio of norms still gives 4.
+        assert fletcher_reeves_beta((2e-170, 0.0), (1e-170, 0.0)) == 4.0
+
+    def test_beta_when_squares_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fletcher_reeves_beta((1e200, 0.0), (1.0, 0.0)) == math.inf
 
     def test_converges_kappa1(self):
         r = fletcher_reeves_cg(RosenbrockObjective(1.0), (2.0, 2.0), Fixed(0.0124))
@@ -261,6 +361,14 @@ class TestFletcherReeves:
             np.vstack([r.point for r in sd.trajectory]),
             np.vstack([r.point for r in cg.trajectory]),
         )
+
+    def test_underflowing_beta_does_not_escape(self):
+        # At kappa = 1e-300 from x1 = 1 the gradient is ~1e-299, so g'g
+        # underflows to zero; the run still ends with a status.
+        policy = TerminationPolicy(epsilon=1e-300, max_iterations=5)
+        r = fletcher_reeves_cg(RosenbrockObjective(1e-300), (1.0, 5.0), Fixed(0.1), policy)
+        assert r.status is RunStatus.MAX_ITERATIONS
+        assert r.final_grad_norm > policy.epsilon
 
     def test_bad_restart_period(self):
         with pytest.raises(InvalidInputError):

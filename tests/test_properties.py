@@ -1,0 +1,114 @@
+"""Property tests: every validated run ends in a reproducible RunResult.
+
+Hypothesis draws kappa, a finite start, a termination policy and every
+parameter of each step rule.  Anything that passes construction-time
+validation must run to a status -- without raising, without a warning and
+with the same bits on a repeat run -- and report `converged` exactly when
+its final gradient norm is at most epsilon.  Iteration caps stay small so
+the suite stays fast; the examples are derandomized so it is repeatable.
+"""
+
+import math
+import warnings
+
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from rosenbench import (
+    Fixed,
+    GoldenSection,
+    InvalidInputError,
+    QuadraticFit,
+    RandomQuadraticFit,
+    RosenbrockObjective,
+    RunStatus,
+    TerminationPolicy,
+    VariableCandidates,
+    fletcher_reeves_cg,
+    steepest_descent,
+)
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def positive(max_value: float = 1e300):
+    return st.floats(min_value=0.0, max_value=max_value, exclude_min=True)
+
+
+def valid(build, *args):
+    """The rule or policy `build(*args)`, or a rejected example if validation refuses it."""
+    try:
+        return build(*args)
+    except InvalidInputError:
+        assume(False)
+
+
+@st.composite
+def policies(draw):
+    epsilon = draw(st.floats(min_value=1e-300, max_value=10.0))
+    blowup = draw(st.one_of(positive(), st.just(math.inf)))
+    return valid(TerminationPolicy, epsilon, draw(st.integers(1, 40)), blowup)
+
+
+@st.composite
+def step_rules(draw):
+    kind = draw(st.sampled_from(("fixed", "variable", "quadfit", "random", "golden")))
+    if kind == "fixed":
+        return Fixed(draw(positive()))
+    if kind == "variable":
+        return VariableCandidates(tuple(draw(st.lists(positive(), min_size=1, max_size=5))))
+    if kind == "quadfit":
+        samples = draw(st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=3,
+                                max_size=3, unique=True))
+        return QuadraticFit(tuple(samples))
+    if kind == "random":
+        lo = draw(positive(1e3))
+        hi = draw(st.floats(min_value=lo, max_value=1e6, exclude_min=True))
+        return valid(RandomQuadraticFit, lo, hi, draw(st.integers(0, 2**32 - 1)))
+    lo = draw(st.floats(min_value=0.0, max_value=1e3))
+    width_tol = draw(st.floats(min_value=1e-12, max_value=1.0))
+    hi = lo + width_tol * draw(st.floats(min_value=1.0, max_value=1e12, exclude_min=True))
+    return valid(GoldenSection, lo, hi, width_tol)
+
+
+kappas = positive(1e12)
+starts = st.tuples(*[st.floats(min_value=-1e8, max_value=1e8)] * 2)
+drivers = st.sampled_from((steepest_descent, fletcher_reeves_cg))
+
+
+def run(driver, kappa, x0, rule, policy):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return driver(RosenbrockObjective(kappa), x0, rule, policy)
+
+
+def same_float(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@SETTINGS
+@given(drivers, kappas, starts, step_rules(), policies())
+def test_validated_run_completes_and_reports_its_status(driver, kappa, x0, rule, policy):
+    result = run(driver, kappa, x0, rule, policy)
+    assert result.status in RunStatus
+    assert 0 <= result.iterations <= policy.max_iterations
+    assert (result.final_grad_norm <= policy.epsilon) == (result.status is RunStatus.CONVERGED)
+    assert result.trajectory[-1].k == result.iterations
+
+
+@SETTINGS
+@given(drivers, kappas, starts, step_rules(), policies())
+def test_repeat_run_gives_the_same_bits(driver, kappa, x0, rule, policy):
+    a = run(driver, kappa, x0, rule, policy)
+    b = run(driver, kappa, x0, rule, policy)
+    assert (a.status, a.divergence_reason, a.iterations) == (b.status, b.divergence_reason,
+                                                             b.iterations)
+    assert a.final_point.tobytes() == b.final_point.tobytes()
+    assert same_float(a.final_value, b.final_value)
+    assert same_float(a.final_grad_norm, b.final_grad_norm)
+    assert len(a.trajectory) == len(b.trajectory)
+    for ra, rb in zip(a.trajectory, b.trajectory):
+        assert ra.point.tobytes() == rb.point.tobytes()
+        assert same_float(ra.value, rb.value) and same_float(ra.grad_norm, rb.grad_norm)
+        assert ra.alpha_used == rb.alpha_used
