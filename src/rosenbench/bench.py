@@ -238,10 +238,12 @@ def contour_grid(
     xs = np.linspace(x_lo, x_hi, resolution)
     ys = np.linspace(y_lo, y_hi, resolution)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    # Same operation order as rosenbrock_value, so entries agree bitwise.
-    T = X * X - Y
-    U = X - 1.0
-    values = float(kappa) * T * T + U * U
+    # Same operation order as rosenbrock_value, so entries agree bitwise; a
+    # value that overflows is inf, as the scalar evaluation gives.
+    with np.errstate(over="ignore", invalid="ignore"):
+        T = X * X - Y
+        U = X - 1.0
+        values = float(kappa) * T * T + U * U
     return ContourGrid(kappa=float(kappa), xs=xs, ys=ys, values=values)
 
 
@@ -266,10 +268,10 @@ def trajectory_csv(result: RunResult) -> str:
     header = "k," + ",".join(f"x{i + 1}" for i in range(dim)) + ",f,grad_norm,alpha"
     lines = [header]
     for rec in result.trajectory:
-        coords = ",".join(fmt_real(c) for c in rec.point)
+        coords = ",".join(f"{c:.17g}" for c in rec.point.tolist())
         lines.append(
-            f"{rec.k},{coords},{fmt_real(rec.value)},{fmt_real(rec.grad_norm)},"
-            f"{fmt_real(rec.alpha_used)}"
+            f"{rec.k},{coords},{rec.value:.17g},{rec.grad_norm:.17g},"
+            f"{rec.alpha_used:.17g}"
         )
     return "\n".join(lines) + "\n"
 

@@ -152,6 +152,8 @@ class LineRestriction:
     A probe fails when its point is not finite, its value is not finite, or
     the objective raises OverflowError or InvalidInputError there; a failed
     probe reads +inf, so selectors treat it as an ordinary non-finite value.
+    The drivers build one restriction per run and rebind `x` and `d` before
+    each selector call; `restrict` builds a validated one.
     """
 
     def __init__(self, objective: Objective, x, d):
@@ -160,17 +162,15 @@ class LineRestriction:
         self.d = d
 
     def __call__(self, alpha: float) -> float:
-        try:
-            y = self._probe(alpha)
-        except (InvalidInputError, OverflowError):
-            return math.inf
-        return y if math.isfinite(y) else math.inf
-
-    def _probe(self, alpha: float) -> float:
-        """phi(alpha), or nan when the probe point is not finite."""
         with np.errstate(all="ignore"):
             point = self.x + alpha * self.d
-            return self.objective.value(point) if np.isfinite(point).all() else math.nan
+            if not np.isfinite(point).all():
+                return math.inf
+            try:
+                y = self.objective.value(point)
+            except (InvalidInputError, OverflowError):
+                return math.inf
+        return y if math.isfinite(y) else math.inf
 
 
 class PairRestriction(LineRestriction):
@@ -180,14 +180,18 @@ class PairRestriction(LineRestriction):
     ``value_and_gradient``; phi agrees bit for bit with LineRestriction.
     """
 
-    def _probe(self, alpha: float) -> float:
+    def __call__(self, alpha: float) -> float:
         x1, x2 = self.x
         d1, d2 = self.d
         p1 = x1 + alpha * d1
         p2 = x2 + alpha * d2
-        if math.isfinite(p1) and math.isfinite(p2):
-            return self.objective.value_and_gradient((p1, p2))[0]
-        return math.nan
+        if not (math.isfinite(p1) and math.isfinite(p2)):
+            return math.inf
+        try:
+            y = self.objective.value_and_gradient((p1, p2))[0]
+        except (InvalidInputError, OverflowError):
+            return math.inf
+        return y if math.isfinite(y) else math.inf
 
 
 def restrict(objective: Objective, x, d) -> LineRestriction:

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidInputError, LineSearchFailedError
+from .errors import InvalidDirectionError, InvalidInputError, LineSearchFailedError
 from .linesearch import (
     ExactQuadratic,
     Fixed,
@@ -120,36 +120,24 @@ def detect_divergence(x, value: float, policy: TerminationPolicy) -> DivergenceR
     return None
 
 
-def fletcher_reeves_beta(g_next, g) -> float:
+def fletcher_reeves_beta(g_next, g, gg_next: float, gg: float) -> float:
     """Direction-mixing coefficient: squared-norm ratio (g_next'g_next)/(g'g).
 
-    The squares are numpy dot products, whose rounding the pinned CG results
-    depend on; one that overflows is inf, without a warning.  Should g'g
-    underflow to zero, the ratio is taken of norms instead.
+    `gg_next` and `gg` are the squares, carried by the caller from one
+    iteration to the next.  Should `gg` have underflowed to zero, the ratio
+    is taken of the norms of `g_next` and `g` instead.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        num = float(np.dot(g_next, g_next))
-        den = float(np.dot(g, g))
-    if den == 0.0:
+    if gg == 0.0:
         r = math.hypot(*g_next) / math.hypot(*g)
         return r * r
-    return num / den
+    return gg_next / gg
 
 
-def _neg_pair(v):
-    return (-v[0], -v[1])
-
-
-def _axpy_pair(x, a, d):
-    return (x[0] + a * d[0], x[1] + a * d[1])
-
-
-def _neg(v):
-    return -v
-
-
-def _axpy(x, a, d):
-    return x + a * d
+#: Up to this gradient norm g'g cannot overflow, so it is taken without
+#: np.errstate, whose entry costs as much as the rest of a CG iteration.
+#: Above it the square is taken under np.errstate: an overflow gives inf
+#: (and beta inf) without a warning.
+_SAFE_SQUARE_NORM = 1e153
 
 
 def _finish(trajectory, status, k, x, f, gn, alpha, reason=None) -> RunResult:
@@ -165,43 +153,51 @@ def _descent_loop(
     rule: StepRule,
     policy: TerminationPolicy,
     record_trajectory: bool,
-    mix=None,
+    restart_period: int | None = 1,
 ) -> RunResult:
     """Shared skeleton for the two first-order drivers.
 
-    The direction is -g, plus `mix(g, g_prev, k)` times the previous
-    direction when `mix` is given and returns a number rather than None:
-    steepest descent has no `mix`, Fletcher-Reeves supplies its beta.
+    Iteration k steps along -g when k is a multiple of `restart_period`,
+    and along the Fletcher-Reeves direction -g + beta*d otherwise:
+    steepest descent is `restart_period` 1, and None never restarts.  A
+    steepest-descent step is x - alpha*g, which equals x + alpha*(-g) to
+    the bit because negation is exact.
 
     The start is validated once.  An objective with a fused
     ``value_and_gradient`` then has its iterate carried as a pair of Python
     floats; any other is evaluated through ``value`` and ``gradient`` at
     ndarrays.  Points become ndarrays only in the records and the result.
+    One restriction serves the whole run: its ``x`` and ``d`` are rebound
+    before each selector call.
     """
     if isinstance(rule, ExactQuadratic) and not isinstance(objective, QuadraticObjective):
         raise InvalidInputError("the exact-quadratic rule requires a QuadraticObjective")
     x = as_vector(x0, getattr(objective, "dim", None))
-    if hasattr(objective, "value_and_gradient"):
+    pair = hasattr(objective, "value_and_gradient")
+    if pair:
         x = tuple(x.tolist())
-        evaluate, neg, axpy, line = (objective.value_and_gradient, _neg_pair, _axpy_pair,
-                                     PairRestriction)
+        evaluate = objective.value_and_gradient
+        line = PairRestriction(objective, x, None)
     else:
         value_at, gradient_at = objective.value, objective.gradient
 
         def evaluate(x):
             return value_at(x), gradient_at(x)
 
-        neg, axpy, line = _neg, _axpy, LineRestriction
+        line = LineRestriction(objective, x, None)
     rng = rule_rng(rule)
     eps = policy.epsilon
     blowup = policy.blowup_norm
     cap = policy.max_iterations
+    conjugate = restart_period != 1
+    period = restart_period or cap + 1
     fixed_alpha = float(rule.alpha) if isinstance(rule, Fixed) else None
     hypot = math.hypot
     isfinite = math.isfinite
+    dot = np.dot
     trajectory: list[IterateRecord] = []
     alpha = 0.0  # the step that produced x
-    g_prev = d = None
+    g_prev = gg_prev = d = None
     k = 0
     while True:
         xn = hypot(*x)
@@ -226,18 +222,40 @@ def _descent_loop(
                            DivergenceReason.NON_FINITE_VALUE)
         if k == cap:
             return _finish(trajectory, RunStatus.MAX_ITERATIONS, k, x, f, gn, alpha)
-        beta = None if mix is None else mix(g, g_prev, k)
-        d = neg(g) if beta is None else axpy(neg(g), beta, d)
-        g_prev = g
+        if conjugate:
+            # np.dot, not a Python sum of squares: the pinned CG results rest
+            # on its rounding, that of an fma on 2-vectors where the BLAS
+            # kernel uses one (test_dot_of_a_pair_rounds_like_an_fma).
+            if gn <= _SAFE_SQUARE_NORM:
+                gg = float(dot(g, g))
+            else:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    gg = float(dot(g, g))
+            if k % period:
+                beta = fletcher_reeves_beta(g, g_prev, gg, gg_prev)
+                d = (-g[0] + beta * d[0], -g[1] + beta * d[1]) if pair else -g + beta * d
+            else:
+                d = (-g[0], -g[1]) if pair else -g
+            g_prev = g
+            gg_prev = gg
         if fixed_alpha is not None:
             alpha = fixed_alpha
         else:
+            line.x = x
+            if conjugate:
+                line.d = d
+            else:
+                line.d = (-g[0], -g[1]) if pair else -g
             try:
-                alpha = float(select_step(line(objective, x, d), rule, rng))
-            except LineSearchFailedError:
+                alpha = float(select_step(line, rule, rng))
+            except (LineSearchFailedError, InvalidDirectionError):
+                # No finite step, or no positive curvature along the line.
                 return _finish(trajectory, RunStatus.DIVERGED, k, x, f, gn, alpha,
                                DivergenceReason.NON_FINITE_VALUE)
-        x = axpy(x, alpha, d)
+        if conjugate:
+            x = (x[0] + alpha * d[0], x[1] + alpha * d[1]) if pair else x + alpha * d
+        else:
+            x = (x[0] - alpha * g[0], x[1] - alpha * g[1]) if pair else x - alpha * g
         k += 1
 
 
@@ -275,13 +293,7 @@ def fletcher_reeves_cg(
     """
     if restart_period is not None and restart_period < 1:
         raise InvalidInputError(f"restart_period must be >= 1, got {restart_period}")
-
-    def mix(g, g_prev, k):
-        if k == 0 or (restart_period is not None and k % restart_period == 0):
-            return None
-        return fletcher_reeves_beta(g, g_prev)
-
-    return _descent_loop(objective, x0, rule, policy, record_trajectory, mix)
+    return _descent_loop(objective, x0, rule, policy, record_trajectory, restart_period)
 
 
 def newton_raphson(

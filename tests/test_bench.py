@@ -1,6 +1,7 @@
 """Tests for the benchmark matrix, contour grid, and CSV emission."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,17 @@ class TestContourGrid:
         for _ in range(50):
             i, j = rng.integers(0, 41, 2)
             assert grid.values[i, j] == rosenbrock_value((grid.xs[i], grid.ys[j]), 100.0)
+
+    def test_overflowing_values_are_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = contour_grid(3.7, (-1e-300, 1e300), (-5.0, 7.5), 3)
+            text = grid_csv(grid)
+        for i, x in enumerate(grid.xs):
+            for j, y in enumerate(grid.ys):
+                assert grid.values[i, j] == rosenbrock_value((x, y), 3.7)
+        assert np.isfinite(grid.values[0]).all() and (grid.values[1:] == math.inf).all()
+        assert text.count(",inf\n") == 6
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(InvalidInputError):

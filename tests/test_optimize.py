@@ -1,7 +1,9 @@
 """Tests for the iteration drivers and termination policy."""
 
 import math
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +26,8 @@ from rosenbench import (
     detect_divergence,
     fletcher_reeves_cg,
     newton_raphson,
+    restrict,
+    select_step,
     steepest_descent,
 )
 from rosenbench.optimize import fletcher_reeves_beta
@@ -183,6 +187,16 @@ class TestSteepestDescent:
             ga, gb = q.gradient(a), q.gradient(b)
             assert abs(float(ga @ gb)) <= 1e-8 * max(1.0, float(ga @ ga))
 
+    @pytest.mark.parametrize("driver", [steepest_descent, fletcher_reeves_cg])
+    def test_curvature_underflow_ends_the_run(self, driver):
+        # At (1e-170, 0) on the unit bowl d'Qd = 1e-340 underflows to zero, so
+        # the exact rule has no step; the run ends with a status.
+        q = QuadraticObjective(np.eye(2), [0.0, 0.0])
+        r = driver(q, (1e-170, 0.0), ExactQuadratic(), TerminationPolicy(epsilon=1e-300))
+        assert (r.status, r.divergence_reason, r.iterations) == (
+            RunStatus.DIVERGED, DivergenceReason.NON_FINITE_VALUE, 0)
+        assert r.final_point.tolist() == [1e-170, 0.0]
+
     def test_line_search_failure_maps_to_nonfinite_divergence(self):
         class WallObjective:
             def value(self, x):
@@ -316,19 +330,119 @@ class TestNewtonRaphson:
         assert r.iterations <= 50
 
 
+def reference_beta(g_next, g):
+    """Fletcher-Reeves beta as it was before the square was carried: both squares afresh."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = float(np.dot(g_next, g_next))
+        den = float(np.dot(g, g))
+    if den == 0.0:
+        r = math.hypot(*g_next) / math.hypot(*g)
+        return r * r
+    return num / den
+
+
+def reference_cg_points(objective, x0, rule, steps, restart_period=None):
+    """The first `steps` + 1 CG iterates, through value/gradient on ndarrays."""
+    x = np.array(x0, dtype=np.float64)
+    points = [x]
+    g_prev = d = None
+    for k in range(steps):
+        g = objective.gradient(x)
+        if k == 0 or (restart_period is not None and k % restart_period == 0):
+            d = -g
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = -g + reference_beta(g, g_prev) * d
+        g_prev = g
+        alpha = rule.alpha if isinstance(rule, Fixed) else select_step(restrict(objective, x, d),
+                                                                        rule)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = x + alpha * d
+        points.append(x)
+    return points
+
+
+class UnitBowl:
+    """0.5*(x1^2 + x2^2) with a fused kernel, so drivers take the float-pair path."""
+
+    dim = 2
+
+    def value(self, x):
+        return 0.5 * float(x[0] * x[0] + x[1] * x[1])
+
+    def gradient(self, x):
+        return np.array([float(x[0]), float(x[1])])
+
+    def value_and_gradient(self, x):
+        return 0.5 * (x[0] * x[0] + x[1] * x[1]), (x[0], x[1])
+
+
 class TestFletcherReeves:
     def test_beta_is_squared_norm_ratio(self):
-        assert fletcher_reeves_beta(np.array([2.0, 0.0]), np.array([1.0, 0.0])) == 4.0
-        assert fletcher_reeves_beta((2.0, 0.0), (1.0, 0.0)) == 4.0
+        assert fletcher_reeves_beta(np.array([2.0, 0.0]), np.array([1.0, 0.0]), 4.0, 1.0) == 4.0
+        assert fletcher_reeves_beta((2.0, 0.0), (1.0, 0.0), 4.0, 1.0) == 4.0
+        # The loop's squares, on the float-pair and the ndarray path: from
+        # (1, 0) with step 0.5, g = (1, 0) and then (0.5, 0), so beta = 0.25,
+        # d = -0.5 - 0.25 = -0.75 and x2 = 0.5 - 0.5*0.75 = 0.125.
+        for objective in (UnitBowl(), QuadraticObjective(np.eye(2), [0.0, 0.0])):
+            r = fletcher_reeves_cg(objective, (1.0, 0.0), Fixed(0.5),
+                                   TerminationPolicy(max_iterations=2))
+            assert [rec.point.tolist() for rec in r.trajectory] == [[1.0, 0.0], [0.5, 0.0],
+                                                                    [0.125, 0.0]]
 
     def test_beta_when_squares_underflow(self):
         # g'g = 1e-340 underflows to zero; the ratio of norms still gives 4.
-        assert fletcher_reeves_beta((2e-170, 0.0), (1e-170, 0.0)) == 4.0
+        assert float(np.dot((1e-170, 0.0), (1e-170, 0.0))) == 0.0
+        assert fletcher_reeves_beta((2e-170, 0.0), (1e-170, 0.0), 0.0, 0.0) == 4.0
+
+    def test_dot_of_a_pair_rounds_like_an_fma(self):
+        # The pinned CG bits rest on this rounding of g'g, which numpy's dot
+        # gives where its BLAS kernel uses an fma; a plain g1*g1 + g2*g2
+        # rounds twice and differs.  Should the golden CG rows change on
+        # another CPU or BLAS build, this test names the cause.
+        rng = np.random.default_rng(2024)
+        twice_rounded = 0
+        for _ in range(400):
+            g1, g2 = (rng.standard_normal(2) * 10.0 ** int(rng.integers(-100, 100))).tolist()
+            exact_fma = float(Fraction(g2) * Fraction(g2) + Fraction(g1 * g1))
+            assert float(np.dot((g1, g2), (g1, g2))) == exact_fma
+            twice_rounded += g1 * g1 + g2 * g2 != exact_fma
+        assert twice_rounded > 0
 
     def test_beta_when_squares_overflow(self):
+        # At k = 3 the gradient norm is 1.4e161, so g'g overflows to inf:
+        # beta is inf, the direction is not finite and the line search fails.
+        policy = TerminationPolicy(epsilon=1.0, max_iterations=4, blowup_norm=math.inf)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert fletcher_reeves_beta((1e200, 0.0), (1.0, 0.0)) == math.inf
+            r = fletcher_reeves_cg(RosenbrockObjective(1.0), (0.0, 0.0),
+                                   VariableCandidates((7.0,)), policy)
+        assert r.trajectory[3].grad_norm > math.sqrt(sys.float_info.max)
+        assert (r.status, r.divergence_reason, r.iterations) == (
+            RunStatus.DIVERGED, DivergenceReason.NON_FINITE_VALUE, 3)
+
+    @pytest.mark.parametrize("case", [
+        (1.0, (2.0, 2.0), Fixed(0.0124), None, POLICY),
+        (100.0, (2.0, 2.0), Fixed(0.000124), None, TerminationPolicy(max_iterations=400)),
+        (100.0, (5.0, 5.0), VariableCandidates(), 4, TerminationPolicy(max_iterations=200)),
+        (1.0, (-1.2, 1.0), GoldenSection(), 3, POLICY),
+        # g'g underflows to zero, so beta is the ratio of norms.
+        (1e-300, (1.0, 5.0), Fixed(0.1), None, TerminationPolicy(epsilon=1e-300,
+                                                                  max_iterations=5)),
+        # g'g overflows at k = 3.
+        (1.0, (0.0, 0.0), VariableCandidates((7.0,)), None,
+         TerminationPolicy(epsilon=1.0, max_iterations=4, blowup_norm=math.inf)),
+    ], ids=["fixed", "fixed-k100", "variable-restart", "golden-restart", "underflow",
+            "overflow"])
+    def test_carried_square_matches_recomputed_squares(self, case):
+        kappa, x0, rule, restart_period, policy = case
+        for objective in (RosenbrockObjective(kappa), DuckValley(kappa)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                r = fletcher_reeves_cg(objective, x0, rule, policy, restart_period)
+            expected = reference_cg_points(objective, x0, rule, r.iterations, restart_period)
+            assert [rec.point.tobytes() for rec in r.trajectory] == [
+                p.tobytes() for p in expected]
 
     def test_converges_kappa1(self):
         r = fletcher_reeves_cg(RosenbrockObjective(1.0), (2.0, 2.0), Fixed(0.0124))

@@ -4,21 +4,27 @@ Hypothesis draws kappa, a finite start, a termination policy and every
 parameter of each step rule.  Anything that passes construction-time
 validation must run to a status -- without raising, without a warning and
 with the same bits on a repeat run -- and report `converged` exactly when
-its final gradient norm is at most epsilon.  Iteration caps stay small so
-the suite stays fast; the examples are derandomized so it is repeatable.
+its final gradient norm is at most epsilon.  The same holds on quadratics
+0.5 x'Qx - x'b of dimension up to 6, whose SPD Q is drawn from a seeded
+spectrum and whose start and b span magnitudes down to the subnormals.
+Iteration caps stay small so the suite stays fast; the examples are
+derandomized so it is repeatable.
 """
 
 import math
 import warnings
 
+import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from rosenbench import (
+    ExactQuadratic,
     Fixed,
     GoldenSection,
     InvalidInputError,
     QuadraticFit,
+    QuadraticObjective,
     RandomQuadraticFit,
     RosenbrockObjective,
     RunStatus,
@@ -30,6 +36,7 @@ from rosenbench import (
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
+QUADRATIC_SETTINGS = settings(SETTINGS, max_examples=80)
 
 
 def positive(max_value: float = 1e300):
@@ -52,8 +59,8 @@ def policies(draw):
 
 
 @st.composite
-def step_rules(draw):
-    kind = draw(st.sampled_from(("fixed", "variable", "quadfit", "random", "golden")))
+def step_rules(draw, kinds=("fixed", "variable", "quadfit", "random", "golden")):
+    kind = draw(st.sampled_from(kinds))
     if kind == "fixed":
         return Fixed(draw(positive()))
     if kind == "variable":
@@ -77,31 +84,42 @@ starts = st.tuples(*[st.floats(min_value=-1e8, max_value=1e8)] * 2)
 drivers = st.sampled_from((steepest_descent, fletcher_reeves_cg))
 
 
-def run(driver, kappa, x0, rule, policy):
+@st.composite
+def quadratic_problems(draw):
+    """An SPD quadratic of dimension n <= 6 and a start, both from one seed."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    Q = (basis * 10.0 ** rng.uniform(-3.0, 3.0, n)) @ basis.T
+    scale = 10.0 ** draw(st.integers(-330, 8))
+    b = scale * draw(st.sampled_from((0.0, 1.0))) * rng.standard_normal(n)
+    return valid(QuadraticObjective, 0.5 * (Q + Q.T), b), scale * rng.standard_normal(n)
+
+
+quadratic_rules = st.one_of(st.just(ExactQuadratic()), step_rules(kinds=("golden",)))
+
+
+def run(driver, objective, x0, rule, policy):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return driver(RosenbrockObjective(kappa), x0, rule, policy)
+        return driver(objective, x0, rule, policy)
 
 
 def same_float(a: float, b: float) -> bool:
     return a == b or (math.isnan(a) and math.isnan(b))
 
 
-@SETTINGS
-@given(drivers, kappas, starts, step_rules(), policies())
-def test_validated_run_completes_and_reports_its_status(driver, kappa, x0, rule, policy):
-    result = run(driver, kappa, x0, rule, policy)
+def check_status(driver, objective, x0, rule, policy):
+    result = run(driver, objective, x0, rule, policy)
     assert result.status in RunStatus
     assert 0 <= result.iterations <= policy.max_iterations
     assert (result.final_grad_norm <= policy.epsilon) == (result.status is RunStatus.CONVERGED)
     assert result.trajectory[-1].k == result.iterations
 
 
-@SETTINGS
-@given(drivers, kappas, starts, step_rules(), policies())
-def test_repeat_run_gives_the_same_bits(driver, kappa, x0, rule, policy):
-    a = run(driver, kappa, x0, rule, policy)
-    b = run(driver, kappa, x0, rule, policy)
+def check_same_bits(driver, objective, x0, rule, policy):
+    a = run(driver, objective, x0, rule, policy)
+    b = run(driver, objective, x0, rule, policy)
     assert (a.status, a.divergence_reason, a.iterations) == (b.status, b.divergence_reason,
                                                              b.iterations)
     assert a.final_point.tobytes() == b.final_point.tobytes()
@@ -112,3 +130,27 @@ def test_repeat_run_gives_the_same_bits(driver, kappa, x0, rule, policy):
         assert ra.point.tobytes() == rb.point.tobytes()
         assert same_float(ra.value, rb.value) and same_float(ra.grad_norm, rb.grad_norm)
         assert ra.alpha_used == rb.alpha_used
+
+
+@SETTINGS
+@given(drivers, kappas, starts, step_rules(), policies())
+def test_validated_run_completes_and_reports_its_status(driver, kappa, x0, rule, policy):
+    check_status(driver, RosenbrockObjective(kappa), x0, rule, policy)
+
+
+@SETTINGS
+@given(drivers, kappas, starts, step_rules(), policies())
+def test_repeat_run_gives_the_same_bits(driver, kappa, x0, rule, policy):
+    check_same_bits(driver, RosenbrockObjective(kappa), x0, rule, policy)
+
+
+@QUADRATIC_SETTINGS
+@given(drivers, quadratic_problems(), quadratic_rules, policies())
+def test_validated_quadratic_run_completes_and_reports_its_status(driver, problem, rule, policy):
+    check_status(driver, *problem, rule, policy)
+
+
+@QUADRATIC_SETTINGS
+@given(drivers, quadratic_problems(), quadratic_rules, policies())
+def test_repeat_quadratic_run_gives_the_same_bits(driver, problem, rule, policy):
+    check_same_bits(driver, *problem, rule, policy)
