@@ -1,6 +1,7 @@
 """Iteration drivers: steepest descent, Newton-Raphson, Fletcher-Reeves CG.
 
-All three share one termination discipline:
+All three run in one loop, which differs between them only in its step,
+and so share one termination discipline:
 
 * converge when the gradient norm falls to ``epsilon`` or below (checked
   before the first step, so starting at a stationary point converges in
@@ -99,27 +100,6 @@ class RunResult:
         return self.status is RunStatus.CONVERGED
 
 
-def _norm(v) -> float:
-    # hypot scales internally, so huge components report a large finite
-    # norm instead of overflowing to inf.
-    return math.hypot(*v)
-
-
-def check_convergence(grad, epsilon: float) -> bool:
-    """True iff the Euclidean norm of `grad` is <= epsilon (inclusive)."""
-    return _norm(grad) <= epsilon
-
-
-def detect_divergence(x, value: float, policy: TerminationPolicy) -> DivergenceReason | None:
-    """Blow-up and non-finiteness guard; None while the run looks healthy."""
-    nx = _norm(x)
-    if nx > policy.blowup_norm:
-        return DivergenceReason.ITERATE_BLOWUP
-    if not (math.isfinite(nx) and math.isfinite(value)):
-        return DivergenceReason.NON_FINITE_VALUE
-    return None
-
-
 def fletcher_reeves_beta(g_next, g, gg_next: float, gg: float) -> float:
     """Direction-mixing coefficient: squared-norm ratio (g_next'g_next)/(g'g).
 
@@ -133,13 +113,6 @@ def fletcher_reeves_beta(g_next, g, gg_next: float, gg: float) -> float:
     return gg_next / gg
 
 
-#: Up to this gradient norm g'g cannot overflow, so it is taken without
-#: np.errstate, whose entry costs as much as the rest of a CG iteration.
-#: Above it the square is taken under np.errstate: an overflow gives inf
-#: (and beta inf) without a warning.
-_SAFE_SQUARE_NORM = 1e153
-
-
 def _finish(trajectory, status, k, x, f, gn, alpha, reason=None) -> RunResult:
     """Record the final iterate (unless it already is the last record) and close the run."""
     if not trajectory or trajectory[-1].k != k:
@@ -150,25 +123,26 @@ def _finish(trajectory, status, k, x, f, gn, alpha, reason=None) -> RunResult:
 def _descent_loop(
     objective: Objective,
     x0,
-    rule: StepRule,
+    rule: StepRule | None,
     policy: TerminationPolicy,
     record_trajectory: bool,
     restart_period: int | None = 1,
 ) -> RunResult:
-    """Shared skeleton for the two first-order drivers.
+    """The iteration loop of all three drivers.
 
-    Iteration k steps along -g when k is a multiple of `restart_period`,
-    and along the Fletcher-Reeves direction -g + beta*d otherwise:
-    steepest descent is `restart_period` 1, and None never restarts.  A
-    steepest-descent step is x - alpha*g, which equals x + alpha*(-g) to
-    the bit because negation is exact.
+    A `rule` of None is Newton-Raphson, which steps x - s with F(x) s = g.
+    Otherwise iteration k steps along -g when k is a multiple of
+    `restart_period`, and along the Fletcher-Reeves direction -g + beta*d
+    otherwise: steepest descent is `restart_period` 1, and None never
+    restarts.  A steepest-descent step is x - alpha*g, which equals
+    x + alpha*(-g) to the bit because negation is exact.
 
     The start is validated once.  An objective with a fused
     ``value_and_gradient`` then has its iterate carried as a pair of Python
     floats; any other is evaluated through ``value`` and ``gradient`` at
-    ndarrays.  Points become ndarrays only in the records and the result.
-    One restriction serves the whole run: its ``x`` and ``d`` are rebound
-    before each selector call.
+    ndarrays.  Points become ndarrays only in the records, the result and
+    Newton's ``hessian`` call.  One restriction serves the whole run: its
+    ``x`` and ``d`` are rebound before each selector call.
     """
     if isinstance(rule, ExactQuadratic) and not isinstance(objective, QuadraticObjective):
         raise InvalidInputError("the exact-quadratic rule requires a QuadraticObjective")
@@ -189,7 +163,9 @@ def _descent_loop(
     eps = policy.epsilon
     blowup = policy.blowup_norm
     cap = policy.max_iterations
+    newton = rule is None
     conjugate = restart_period != 1
+    special = conjugate or newton
     period = restart_period or cap + 1
     fixed_alpha = float(rule.alpha) if isinstance(rule, Fixed) else None
     hypot = math.hypot
@@ -199,64 +175,78 @@ def _descent_loop(
     alpha = 0.0  # the step that produced x
     g_prev = gg_prev = d = None
     k = 0
-    while True:
-        xn = hypot(*x)
-        try:
-            if not (isfinite(xn) or all(map(isfinite, x))):
-                raise InvalidInputError("non-finite iterate")
-            f, g = evaluate(x)
-            gn = hypot(*g)
-        except (InvalidInputError, OverflowError):
-            # The iterate is not finite, or the objective refused it.
-            return _finish(trajectory, RunStatus.DIVERGED, k, x, math.nan, math.nan, alpha,
-                           DivergenceReason.NON_FINITE_VALUE)
-        if record_trajectory or k == 0:
-            trajectory.append(IterateRecord(k, np.array(x), f, gn, alpha))
-        if gn <= eps:
-            return _finish(trajectory, RunStatus.CONVERGED, k, x, f, gn, alpha)
-        if xn > blowup:
-            return _finish(trajectory, RunStatus.DIVERGED, k, x, f, gn, alpha,
-                           DivergenceReason.ITERATE_BLOWUP)
-        if not (isfinite(xn) and isfinite(f)):
-            return _finish(trajectory, RunStatus.DIVERGED, k, x, f, gn, alpha,
-                           DivergenceReason.NON_FINITE_VALUE)
-        if k == cap:
-            return _finish(trajectory, RunStatus.MAX_ITERATIONS, k, x, f, gn, alpha)
-        if conjugate:
-            # np.dot, not a Python sum of squares: the pinned CG results rest
-            # on its rounding, that of an fma on 2-vectors where the BLAS
-            # kernel uses one (test_dot_of_a_pair_rounds_like_an_fma).
-            if gn <= _SAFE_SQUARE_NORM:
-                gg = float(dot(g, g))
-            else:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    gg = float(dot(g, g))
-            if k % period:
-                beta = fletcher_reeves_beta(g, g_prev, gg, gg_prev)
-                d = (-g[0] + beta * d[0], -g[1] + beta * d[1]) if pair else -g + beta * d
-            else:
-                d = (-g[0], -g[1]) if pair else -g
-            g_prev = g
-            gg_prev = gg
-        if fixed_alpha is not None:
-            alpha = fixed_alpha
-        else:
-            line.x = x
-            if conjugate:
-                line.d = d
-            else:
-                line.d = (-g[0], -g[1]) if pair else -g
+    # Divergence is data: an overflow or an invalid operation gives an inf or
+    # a nan, which the checks below turn into a status, never a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            xn = hypot(*x)
             try:
-                alpha = float(select_step(line, rule, rng))
-            except (LineSearchFailedError, InvalidDirectionError):
-                # No finite step, or no positive curvature along the line.
+                if not (isfinite(xn) or all(map(isfinite, x))):
+                    raise InvalidInputError("non-finite iterate")
+                f, g = evaluate(x)
+                gn = hypot(*g)
+            except (InvalidInputError, OverflowError):
+                # The iterate is not finite, or the objective refused it.
+                return _finish(trajectory, RunStatus.DIVERGED, k, x, math.nan, math.nan, alpha,
+                               DivergenceReason.NON_FINITE_VALUE)
+            if record_trajectory or k == 0:
+                trajectory.append(IterateRecord(k, np.array(x), f, gn, alpha))
+            if gn <= eps:
+                return _finish(trajectory, RunStatus.CONVERGED, k, x, f, gn, alpha)
+            if xn > blowup:
+                return _finish(trajectory, RunStatus.DIVERGED, k, x, f, gn, alpha,
+                               DivergenceReason.ITERATE_BLOWUP)
+            if not (isfinite(xn) and isfinite(f)):
                 return _finish(trajectory, RunStatus.DIVERGED, k, x, f, gn, alpha,
                                DivergenceReason.NON_FINITE_VALUE)
-        if conjugate:
-            x = (x[0] + alpha * d[0], x[1] + alpha * d[1]) if pair else x + alpha * d
-        else:
-            x = (x[0] - alpha * g[0], x[1] - alpha * g[1]) if pair else x - alpha * g
-        k += 1
+            if k == cap:
+                return _finish(trajectory, RunStatus.MAX_ITERATIONS, k, x, f, gn, alpha)
+            if special:
+                if newton:
+                    H = objective.hessian(np.array(x) if pair else x)
+                    # |det H| <= 1e-12 * scale^n, tested on H/scale to avoid overflow.
+                    scale = float(np.linalg.norm(H, "fro"))
+                    if (not (isfinite(scale) and scale > 0.0)
+                            or abs(float(np.linalg.det(H / scale))) <= 1e-12):
+                        return _finish(trajectory, RunStatus.DIVERGED, k, x, f, gn, alpha,
+                                       DivergenceReason.SINGULAR_HESSIAN)
+                    if pair:
+                        s1, s2 = np.linalg.solve(H, g).tolist()
+                        x = (x[0] - s1, x[1] - s2)
+                    else:
+                        x = x - np.linalg.solve(H, g)
+                    k += 1
+                    continue
+                # np.dot, not a Python sum of squares: the pinned CG results
+                # rest on its rounding, that of an fma on 2-vectors where the
+                # BLAS kernel uses one (test_dot_of_a_pair_rounds_like_an_fma).
+                gg = float(dot(g, g))
+                if k % period:
+                    beta = fletcher_reeves_beta(g, g_prev, gg, gg_prev)
+                    d = (-g[0] + beta * d[0], -g[1] + beta * d[1]) if pair else -g + beta * d
+                else:
+                    d = (-g[0], -g[1]) if pair else -g
+                g_prev = g
+                gg_prev = gg
+            if fixed_alpha is not None:
+                alpha = fixed_alpha
+            else:
+                line.x = x
+                if conjugate:
+                    line.d = d
+                else:
+                    line.d = (-g[0], -g[1]) if pair else -g
+                try:
+                    alpha = float(select_step(line, rule, rng))
+                except (LineSearchFailedError, InvalidDirectionError):
+                    # No finite step, or no positive curvature along the line.
+                    return _finish(trajectory, RunStatus.DIVERGED, k, x, f, gn, alpha,
+                                   DivergenceReason.NON_FINITE_VALUE)
+            if conjugate:
+                x = (x[0] + alpha * d[0], x[1] + alpha * d[1]) if pair else x + alpha * d
+            else:
+                x = (x[0] - alpha * g[0], x[1] - alpha * g[1]) if pair else x - alpha * g
+            k += 1
 
 
 def steepest_descent(
@@ -309,34 +299,7 @@ def newton_raphson(
     determinant is at or below 1e-12 * ||F||_fro^n stops the run as
     diverged (singular Hessian); no definiteness repair is attempted.
     """
-    x = as_vector(x0, getattr(objective, "dim", None))
-    trajectory: list[IterateRecord] = []
-    k = 0
-    while True:
-        try:
-            f = objective.value(x)
-            g = objective.gradient(x)
-            gn = _norm(g)
-        except (InvalidInputError, OverflowError):
-            return _finish(trajectory, RunStatus.DIVERGED, k, x, math.nan, math.nan, 0.0,
-                           DivergenceReason.NON_FINITE_VALUE)
-        if record_trajectory or k == 0:
-            trajectory.append(IterateRecord(k, x.copy(), f, gn, 0.0))
-        if gn <= policy.epsilon:
-            return _finish(trajectory, RunStatus.CONVERGED, k, x, f, gn, 0.0)
-        reason = detect_divergence(x, f, policy)
-        if reason is not None:
-            return _finish(trajectory, RunStatus.DIVERGED, k, x, f, gn, 0.0, reason)
-        if k == policy.max_iterations:
-            return _finish(trajectory, RunStatus.MAX_ITERATIONS, k, x, f, gn, 0.0)
-        H = objective.hessian(x)
-        # |det H| <= 1e-12 * scale^n, tested on H/scale to avoid overflow.
-        scale = float(np.linalg.norm(H, "fro"))
-        if not (math.isfinite(scale) and scale > 0.0) or abs(float(np.linalg.det(H / scale))) <= 1e-12:
-            return _finish(trajectory, RunStatus.DIVERGED, k, x, f, gn, 0.0,
-                           DivergenceReason.SINGULAR_HESSIAN)
-        x = x - np.linalg.solve(H, g)
-        k += 1
+    return _descent_loop(objective, x0, None, policy, record_trajectory)
 
 
 def timed_run(fn, *args, **kwargs) -> tuple[RunResult, float]:

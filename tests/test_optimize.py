@@ -22,8 +22,6 @@ from rosenbench import (
     RunStatus,
     TerminationPolicy,
     VariableCandidates,
-    check_convergence,
-    detect_divergence,
     fletcher_reeves_cg,
     newton_raphson,
     restrict,
@@ -40,34 +38,112 @@ def random_spd_objective(rng, n):
     return QuadraticObjective(M @ M.T + n * np.eye(n), rng.standard_normal(n))
 
 
+def sd(objective, x0, policy=POLICY):
+    return steepest_descent(objective, x0, Fixed(0.5), policy)
+
+
+def cg(objective, x0, policy=POLICY):
+    return fletcher_reeves_cg(objective, x0, Fixed(0.5), policy)
+
+
+DRIVERS = (sd, cg, newton_raphson)
+BOWL = QuadraticObjective(np.eye(2), [0.0, 0.0])
+
+
+class SteepWall:
+    """f = 0 with gradient (g1, 0) and Hessian 1e-150*I everywhere.
+
+    From x1 = 1.5e308, a g1 of -1e308 sends the first step of every driver
+    (a step of 0.5, or the Newton step of 1e458) to inf; a nan g1 gives it a
+    nan component.
+    """
+
+    def __init__(self, g1):
+        self.g1 = g1
+        self.evaluated = []
+
+    def value(self, x):
+        self.evaluated.append(x.tolist())
+        return 0.0
+
+    def gradient(self, x):
+        return np.array([self.g1, 0.0])
+
+    def hessian(self, x):
+        return 1e-150 * np.eye(2)
+
+
+def refused_next_iterates(g1):
+    """Each driver's final point after its first step from SteepWall(g1), which it refuses."""
+    points = []
+    for driver in DRIVERS:
+        objective = SteepWall(g1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = driver(objective, (1.5e308, 0.0), TerminationPolicy(blowup_norm=sys.float_info.max))
+        assert (r.status, r.divergence_reason, r.iterations) == (
+            RunStatus.DIVERGED, DivergenceReason.NON_FINITE_VALUE, 1), driver.__name__
+        assert math.isnan(r.final_value) and math.isnan(r.final_grad_norm)
+        assert objective.evaluated == [[1.5e308, 0.0]]
+        points.append(r.final_point)
+    return points
+
+
 class TestCheckConvergence:
+    """Every driver's convergence test, at the start of a run."""
+
     def test_zero_gradient(self):
-        assert check_convergence((0.0, 0.0), 1e-3)
+        for driver in DRIVERS:
+            r = driver(BOWL, (0.0, 0.0))
+            assert (r.status, r.iterations, r.final_grad_norm) == (RunStatus.CONVERGED, 0, 0.0)
 
     def test_large_gradient(self):
-        assert not check_convergence((18.0, -4.0), 1e-3)
+        for driver in DRIVERS:
+            r = driver(RosenbrockObjective(1.0), (2.0, 2.0), TerminationPolicy(max_iterations=1))
+            assert r.trajectory[0].grad_norm == math.hypot(18.0, -4.0)
+            assert r.iterations == 1, driver.__name__
 
     def test_boundary_is_inclusive(self):
         # ||(6e-4, 8e-4)|| is exactly 1e-3 in binary64.
         assert math.hypot(6e-4, 8e-4) == 1e-3
-        assert check_convergence((6e-4, 8e-4), 1e-3)
+        for driver in DRIVERS:
+            r = driver(BOWL, (6e-4, 8e-4), TerminationPolicy(epsilon=1e-3))
+            assert (r.status, r.iterations, r.final_grad_norm) == (RunStatus.CONVERGED, 0, 1e-3)
 
 
 class TestDetectDivergence:
+    """Every driver's divergence tests, at the start of a run and after one step."""
+
     def test_blowup(self):
-        assert detect_divergence((1e9, 0.0), 5.0, POLICY) is DivergenceReason.ITERATE_BLOWUP
+        for driver in DRIVERS:
+            r = driver(BOWL, (1e9, 0.0))
+            assert (r.status, r.divergence_reason, r.iterations) == (
+                RunStatus.DIVERGED, DivergenceReason.ITERATE_BLOWUP, 0), driver.__name__
 
     def test_healthy(self):
-        assert detect_divergence((2.0, 2.0), 5.0, POLICY) is None
+        for driver in DRIVERS:
+            r = driver(RosenbrockObjective(1.0), (2.0, 2.0), TerminationPolicy(max_iterations=1))
+            assert r.trajectory[0].value == 5.0
+            assert r.iterations == 1 and r.divergence_reason is None, driver.__name__
 
     def test_nan_value(self):
-        assert detect_divergence((2.0, 2.0), math.nan, POLICY) is DivergenceReason.NON_FINITE_VALUE
+        class NanValue(SteepWall):
+            def value(self, x):
+                return math.nan
+
+        for driver in DRIVERS:
+            r = driver(NanValue(1.0), (2.0, 2.0))
+            assert (r.status, r.divergence_reason, r.iterations) == (
+                RunStatus.DIVERGED, DivergenceReason.NON_FINITE_VALUE, 0), driver.__name__
+            assert math.isnan(r.final_value)
 
     def test_nan_component(self):
-        assert detect_divergence((math.nan, 0.0), 1.0, POLICY) is DivergenceReason.NON_FINITE_VALUE
+        assert all(math.isnan(p[0]) for p in refused_next_iterates(math.nan))
 
-    def test_inf_component_counts_as_blowup(self):
-        assert detect_divergence((math.inf, 0.0), 1.0, POLICY) is DivergenceReason.ITERATE_BLOWUP
+    def test_inf_component_is_refused_as_nonfinite(self):
+        # The step overflows.  An iterate with an inf component is refused
+        # before it is evaluated, as non-finite rather than as a blow-up.
+        assert all(p[0] == math.inf for p in refused_next_iterates(-1e308))
 
 
 class TestTerminationPolicy:
@@ -223,6 +299,9 @@ class DuckValley:
     def gradient(self, x):
         return self.valley.gradient(x)
 
+    def hessian(self, x):
+        return self.valley.hessian(x)
+
 
 def assert_same_run(a, b):
     assert (a.status, a.divergence_reason, a.iterations) == (b.status, b.divergence_reason,
@@ -236,16 +315,20 @@ def assert_same_run(a, b):
 class TestFloatPath:
     """The valley's float-pair path against the generic ndarray path."""
 
-    @pytest.mark.parametrize("driver", [steepest_descent, fletcher_reeves_cg])
-    @pytest.mark.parametrize("rule", [
-        Fixed(0.0124), Fixed(0.000124), VariableCandidates(), QuadraticFit(), GoldenSection(),
-        RandomQuadraticFit(seed=3),
-    ], ids=lambda rule: type(rule).__name__)
+    RULES = {"Fixed0": Fixed(0.0124), "Fixed1": Fixed(0.000124),
+             "VariableCandidates": VariableCandidates(), "QuadraticFit": QuadraticFit(),
+             "GoldenSection": GoldenSection(), "RandomQuadraticFit": RandomQuadraticFit(seed=3)}
+
+    @pytest.mark.parametrize("driver, rule", [
+        pytest.param(driver, rule, id=f"{name}-{driver.__name__}")
+        for name, rule in RULES.items() for driver in (steepest_descent, fletcher_reeves_cg)
+    ] + [pytest.param(newton_raphson, None, id="newton_raphson")])
     def test_same_bits_as_duck_typed_objective(self, driver, rule):
         policy = TerminationPolicy(max_iterations=300)
+        args = (policy,) if rule is None else (rule, policy)
         for kappa, x0 in ((1.0, (2.0, 2.0)), (100.0, (-1.2, 1.0)), (100.0, (5.0, 5.0))):
-            fused = driver(RosenbrockObjective(kappa), x0, rule, policy)
-            generic = driver(DuckValley(kappa), x0, rule, policy)
+            fused = driver(RosenbrockObjective(kappa), x0, *args)
+            generic = driver(DuckValley(kappa), x0, *args)
             assert_same_run(fused, generic)
 
     def test_nonfinite_iterate_diverges_quietly(self):
@@ -260,6 +343,18 @@ class TestFloatPath:
         assert r.iterations == 1
         assert math.isnan(r.final_value) and math.isnan(r.final_grad_norm)
         assert not np.isfinite(r.final_point).all()
+
+    @pytest.mark.parametrize("driver, iterations", [(steepest_descent, 49),
+                                                    (fletcher_reeves_cg, 6)])
+    def test_ndarray_overflow_diverges_quietly(self, driver, iterations):
+        # The iterate grows until x'Qx and then the step overflow; the run
+        # ends with a status and no RuntimeWarning.
+        policy = TerminationPolicy(blowup_norm=math.inf, max_iterations=200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = driver(QuadraticObjective(np.eye(2), [0.0, 0.0]), (1e8, 1e8), Fixed(1e3), policy)
+        assert (r.status, r.divergence_reason, r.iterations) == (
+            RunStatus.DIVERGED, DivergenceReason.NON_FINITE_VALUE, iterations)
 
     def test_start_array_is_not_aliased(self):
         x0 = np.array([1.0, 1.0])
@@ -321,6 +416,14 @@ class TestNewtonRaphson:
         assert r.status is RunStatus.DIVERGED
         assert r.divergence_reason is DivergenceReason.SINGULAR_HESSIAN
         assert r.iterations == 0
+
+    def test_overflowing_hessian_is_singular_without_a_warning(self):
+        # At kappa = 1e300 the Frobenius norm of F(2, 2) overflows to inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = newton_raphson(RosenbrockObjective(1e300), (2.0, 2.0))
+        assert (r.status, r.divergence_reason, r.iterations) == (
+            RunStatus.DIVERGED, DivergenceReason.SINGULAR_HESSIAN, 0)
 
     @pytest.mark.parametrize("kappa", [1.0, 100.0])
     @pytest.mark.parametrize("x0", [(2.0, 2.0), (5.0, 5.0)])

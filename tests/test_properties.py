@@ -1,14 +1,15 @@
 """Property tests: every validated run ends in a reproducible RunResult.
 
 Hypothesis draws kappa, a finite start, a termination policy and every
-parameter of each step rule.  Anything that passes construction-time
-validation must run to a status -- without raising, without a warning and
-with the same bits on a repeat run -- and report `converged` exactly when
-its final gradient norm is at most epsilon.  The same holds on quadratics
-0.5 x'Qx - x'b of dimension up to 6, whose SPD Q is drawn from a seeded
-spectrum and whose start and b span magnitudes down to the subnormals.
-Iteration caps stay small so the suite stays fast; the examples are
-derandomized so it is repeatable.
+parameter of each step rule; Newton-Raphson, which has no step rule, is
+drawn with the same objectives, starts and policies.  Anything that passes
+construction-time validation must run to a status -- without raising,
+without a warning and with the same bits on a repeat run -- and report
+`converged` exactly when its final gradient norm is at most epsilon.  The
+same holds on quadratics 0.5 x'Qx - x'b of dimension up to 6, whose SPD Q
+is drawn from a seeded spectrum and whose start and b span magnitudes down
+to the subnormals.  Iteration caps stay small so the suite stays fast; the
+examples are derandomized so it is repeatable.
 """
 
 import math
@@ -31,6 +32,7 @@ from rosenbench import (
     TerminationPolicy,
     VariableCandidates,
     fletcher_reeves_cg,
+    newton_raphson,
     steepest_descent,
 )
 
@@ -99,27 +101,29 @@ def quadratic_problems(draw):
 quadratic_rules = st.one_of(st.just(ExactQuadratic()), step_rules(kinds=("golden",)))
 
 
-def run(driver, objective, x0, rule, policy):
+def run(driver, objective, x0, *args):
+    """One run, with warnings as errors; `args` is (rule, policy), or (policy,) for Newton."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return driver(objective, x0, rule, policy)
+        return driver(objective, x0, *args)
 
 
 def same_float(a: float, b: float) -> bool:
     return a == b or (math.isnan(a) and math.isnan(b))
 
 
-def check_status(driver, objective, x0, rule, policy):
-    result = run(driver, objective, x0, rule, policy)
+def check_status(driver, objective, x0, *args):
+    policy = args[-1]
+    result = run(driver, objective, x0, *args)
     assert result.status in RunStatus
     assert 0 <= result.iterations <= policy.max_iterations
     assert (result.final_grad_norm <= policy.epsilon) == (result.status is RunStatus.CONVERGED)
     assert result.trajectory[-1].k == result.iterations
 
 
-def check_same_bits(driver, objective, x0, rule, policy):
-    a = run(driver, objective, x0, rule, policy)
-    b = run(driver, objective, x0, rule, policy)
+def check_same_bits(driver, objective, x0, *args):
+    a = run(driver, objective, x0, *args)
+    b = run(driver, objective, x0, *args)
     assert (a.status, a.divergence_reason, a.iterations) == (b.status, b.divergence_reason,
                                                              b.iterations)
     assert a.final_point.tobytes() == b.final_point.tobytes()
@@ -154,3 +158,17 @@ def test_validated_quadratic_run_completes_and_reports_its_status(driver, proble
 @given(drivers, quadratic_problems(), quadratic_rules, policies())
 def test_repeat_quadratic_run_gives_the_same_bits(driver, problem, rule, policy):
     check_same_bits(driver, *problem, rule, policy)
+
+
+@SETTINGS
+@given(kappas, starts, policies())
+def test_newton_run_completes_repeats_and_reports_its_status(kappa, x0, policy):
+    check_status(newton_raphson, RosenbrockObjective(kappa), x0, policy)
+    check_same_bits(newton_raphson, RosenbrockObjective(kappa), x0, policy)
+
+
+@QUADRATIC_SETTINGS
+@given(quadratic_problems(), policies())
+def test_newton_quadratic_run_completes_repeats_and_reports_its_status(problem, policy):
+    check_status(newton_raphson, *problem, policy)
+    check_same_bits(newton_raphson, *problem, policy)
