@@ -10,6 +10,8 @@ matrix reproduces them bit-for-bit except for wall-clock timings.
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +26,9 @@ from .linesearch import (
     Fixed,
     GoldenSection,
     QuadraticFit,
-    RandomQuadraticFit,
     StepRule,
     VariableCandidates,
+    fmt_real,
 )
 from .objectives import Matrix, RosenbrockObjective, rosenbrock_value
 from .optimize import (
@@ -37,7 +39,6 @@ from .optimize import (
     fletcher_reeves_cg,
     newton_raphson,
     steepest_descent,
-    timed_run,
 )
 
 DEFAULT_FIXED_ALPHAS = (0.124, 0.0124, 0.00124, 0.000124)
@@ -51,30 +52,13 @@ _STATUS_LABELS = {
 }
 
 
-def fmt_real(v: float) -> str:
-    """Render a real with 17 significant digits (exact float round-trip)."""
-    return format(float(v), ".17g")
-
-
 def status_label(result: RunResult) -> str:
     return _STATUS_LABELS[(result.status, result.divergence_reason)]
 
 
 def rule_label(rule: StepRule | None) -> str:
-    """Textual form of a step rule; also the CLI grammar for it."""
-    if rule is None:
-        return "none"
-    if isinstance(rule, Fixed):
-        return f"fixed:{fmt_real(rule.alpha)}"
-    if isinstance(rule, VariableCandidates):
-        return "variable:" + ",".join(fmt_real(a) for a in rule.alphas)
-    if isinstance(rule, QuadraticFit):
-        return "quadfit:" + ",".join(fmt_real(a) for a in rule.sample_alphas)
-    if isinstance(rule, RandomQuadraticFit):
-        return f"quadfit-random:{fmt_real(rule.lo)},{fmt_real(rule.hi)},seed={rule.seed}"
-    if isinstance(rule, GoldenSection):
-        return f"golden:{fmt_real(rule.lo)}:{fmt_real(rule.hi)}:{fmt_real(rule.width_tol)}"
-    return "exact-quadratic"
+    """Textual form of a step rule, "none" for Newton-Raphson's; `parse_rule` reads it back."""
+    return "none" if rule is None else rule.label()
 
 
 @dataclass(frozen=True)
@@ -117,6 +101,25 @@ class ResultRow:
     final_point: tuple[float, ...]
 
 
+def run_method(
+    method: str,
+    objective,
+    x0,
+    rule: StepRule | None,
+    policy: TerminationPolicy,
+    restart_period: int | None = None,
+    record_trajectory: bool = True,
+) -> RunResult:
+    """Run the driver named `method`: "sd", "cg" or "newton" (which takes no rule)."""
+    if method == "sd":
+        return steepest_descent(objective, x0, rule, policy, record_trajectory)
+    if method == "cg":
+        return fletcher_reeves_cg(objective, x0, rule, policy, restart_period, record_trajectory)
+    if method == "newton":
+        return newton_raphson(objective, x0, policy, record_trajectory)
+    raise InvalidInputError(f"unknown method: {method!r}")
+
+
 def run_cell(
     method: str,
     rule: StepRule | None,
@@ -126,17 +129,9 @@ def run_cell(
 ) -> ResultRow:
     """Execute one (method, rule, kappa, start) combination."""
     objective = RosenbrockObjective(kappa)
-    if method == "sd":
-        result, ms = timed_run(steepest_descent, objective, x0, rule, policy,
-                               record_trajectory=False)
-    elif method == "cg":
-        result, ms = timed_run(fletcher_reeves_cg, objective, x0, rule, policy,
-                               record_trajectory=False)
-    elif method == "newton":
-        result, ms = timed_run(newton_raphson, objective, x0, policy,
-                               record_trajectory=False)
-    else:
-        raise InvalidInputError(f"unknown method: {method!r}")
+    t0 = time.perf_counter()
+    result = run_method(method, objective, x0, rule, policy, record_trajectory=False)
+    ms = (time.perf_counter() - t0) * 1e3
     return ResultRow(
         method=method,
         step_rule=rule_label(rule),
@@ -182,7 +177,7 @@ def compare_sd_variants(
     did not converge.
     """
     start = (float(start[0]), float(start[1]))
-    fixed_label = f"fixed:{fmt_real(fixed_alpha)}"
+    fixed_label = Fixed(fixed_alpha).label()
     counts: dict[str, int] = {}
     for variant in ("fixed", "variable", "quadratic-fit", "golden-section"):
         match = [
@@ -234,6 +229,8 @@ def contour_grid(
     y_lo, y_hi = float(y_range[0]), float(y_range[1])
     if not (x_hi > x_lo and y_hi > y_lo):
         raise InvalidInputError(f"degenerate grid ranges x={x_range}, y={y_range}")
+    if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)):
+        raise InvalidInputError(f"grid range widths overflow: x={x_range}, y={y_range}")
     rosenbrock_value((x_lo, y_lo), kappa)  # validates kappa and finiteness
     xs = np.linspace(x_lo, x_hi, resolution)
     ys = np.linspace(y_lo, y_hi, resolution)

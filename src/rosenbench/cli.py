@@ -7,9 +7,11 @@ Subcommands::
     contour   objective values on a grid as x,y,f CSV
     checkgrad analytic vs finite-difference derivative errors
 
-Step rules are written as one flag value:
+Step rules are written as one flag value, and every ``step_rule`` label
+that ``bench`` writes reads back as one:
 
-    fixed:<a> | variable:<a1,a2,...> | quadfit:<a1,a2,a3> | golden:<lo>:<hi>[:tol]
+    fixed:<a> | variable:<a1,a2,...> | quadfit:<a1,a2,a3> |
+    quadfit-random:<lo>,<hi>,seed=<n> | golden:<lo>:<hi>[:tol]
 
 ``--seed N`` switches a quadfit rule to its randomized mode, redrawing the
 three abscissae per iteration from [min(samples), max(samples)].
@@ -34,19 +36,12 @@ from .bench import (
     results_csv,
     rule_label,
     run_matrix,
+    run_method,
     status_label,
     trajectory_csv,
 )
 from .errors import InvalidInputError
-from .linesearch import (
-    DEFAULT_GOLDEN_WIDTH_TOL,
-    Fixed,
-    GoldenSection,
-    QuadraticFit,
-    RandomQuadraticFit,
-    StepRule,
-    VariableCandidates,
-)
+from .linesearch import ExactQuadratic, QuadraticFit, RandomQuadraticFit, parse_rule
 from .objectives import (
     RosenbrockObjective,
     finite_diff_gradient,
@@ -54,43 +49,7 @@ from .objectives import (
     rosenbrock_gradient,
     rosenbrock_hessian,
 )
-from .optimize import (
-    TerminationPolicy,
-    fletcher_reeves_cg,
-    newton_raphson,
-    steepest_descent,
-)
-
-
-def parse_step_rule(text: str) -> StepRule:
-    """Parse the textual step-rule grammar; raises ValueError on bad input."""
-    kind, _, spec = text.partition(":")
-    try:
-        if kind == "fixed":
-            return Fixed(float(spec))
-        if kind == "variable":
-            return VariableCandidates(tuple(float(s) for s in spec.split(",")))
-        if kind == "quadfit":
-            samples = tuple(float(s) for s in spec.split(","))
-            if len(samples) != 3:
-                raise InvalidInputError(f"quadfit needs exactly three samples, got {len(samples)}")
-            return QuadraticFit(samples)
-        if kind == "golden":
-            parts = spec.split(":")
-            if len(parts) == 2:
-                lo, hi = (float(p) for p in parts)
-                return GoldenSection(lo, hi, DEFAULT_GOLDEN_WIDTH_TOL)
-            if len(parts) == 3:
-                lo, hi, tol = (float(p) for p in parts)
-                return GoldenSection(lo, hi, tol)
-            raise InvalidInputError("golden rule takes <lo>:<hi>[:<tol>]")
-    except InvalidInputError as exc:
-        raise ValueError(str(exc)) from None
-    except ValueError as exc:
-        raise ValueError(f"malformed step rule {text!r}: {exc}") from None
-    raise ValueError(
-        f"unknown step rule {text!r}; expected fixed:/variable:/quadfit:/golden:"
-    )
+from .optimize import TerminationPolicy
 
 
 def parse_point(text: str) -> tuple[float, float]:
@@ -116,8 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute one optimizer run")
     run.add_argument("--method", choices=("sd", "newton", "cg"), default="sd")
-    run.add_argument("--step", type=parse_step_rule, default=None, metavar="RULE",
-                     help="fixed:<a> | variable:<a1,..> | quadfit:<a1,a2,a3> | golden:<lo>:<hi>[:tol]")
+    run.add_argument("--step", default=None, metavar="RULE",
+                     help="fixed:<a> | variable:<a1,..> | quadfit:<a1,a2,a3> | "
+                          "quadfit-random:<lo>,<hi>,seed=<n> | golden:<lo>:<hi>[:tol]")
     run.add_argument("--kappa", type=positive_real, default=1.0)
     run.add_argument("--start", type=parse_point, default=(2.0, 2.0), metavar="X1,X2")
     run.add_argument("--restart", type=int, default=None, metavar="N",
@@ -167,11 +127,20 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
             parser.error("--step does not apply to --method newton")
         if config.restart is not None and config.method != "cg":
             parser.error("--restart applies only to --method cg")
-        if config.seed is not None and not isinstance(config.step, QuadraticFit):
-            parser.error("--seed applies only to a quadfit step rule")
-        if config.seed is not None:
-            samples = config.step.sample_alphas
-            config.step = RandomQuadraticFit(min(samples), max(samples), config.seed)
+        if config.restart is not None and config.restart < 1:
+            parser.error(f"--restart must be >= 1, got {config.restart}")
+        try:
+            if config.step is not None:
+                config.step = parse_rule(config.step)
+            if config.seed is not None:
+                if not isinstance(config.step, QuadraticFit):
+                    parser.error("--seed applies only to a quadfit step rule")
+                samples = config.step.sample_alphas
+                config.step = RandomQuadraticFit(min(samples), max(samples), config.seed)
+        except InvalidInputError as exc:
+            parser.error(str(exc))
+        if isinstance(config.step, ExactQuadratic):
+            parser.error("the exact-quadratic rule needs a quadratic objective, not the valley")
     if config.subcommand in ("run", "bench"):
         try:
             config.policy = TerminationPolicy(config.eps, config.max_iter, config.blowup)
@@ -189,17 +158,9 @@ def _write_text(path: str | None, text: str):
 
 
 def _cmd_run(config) -> int:
-    objective = RosenbrockObjective(config.kappa)
-    record = config.traj is not None
-    if config.method == "sd":
-        result = steepest_descent(objective, config.start, config.step, config.policy,
-                                  record_trajectory=record)
-    elif config.method == "cg":
-        result = fletcher_reeves_cg(objective, config.start, config.step, config.policy,
-                                    restart_period=config.restart, record_trajectory=record)
-    else:
-        result = newton_raphson(objective, config.start, config.policy,
-                                record_trajectory=record)
+    result = run_method(config.method, RosenbrockObjective(config.kappa), config.start,
+                        config.step, config.policy, config.restart,
+                        record_trajectory=config.traj is not None)
     point = ",".join(fmt_real(c) for c in result.final_point)
     print(
         f"{status_label(result)} method={config.method} rule={rule_label(config.step)} "
@@ -237,13 +198,15 @@ def _cmd_checkgrad(config) -> int:
     objective = RosenbrockObjective(config.kappa)
     grad_err = 0.0
     hess_err = 0.0
-    for p in _probe_grid():
-        ga = rosenbrock_gradient(p, config.kappa)
-        gf = finite_diff_gradient(objective, p)
-        grad_err = max(grad_err, float(np.max(np.abs(ga - gf))) / max(1.0, float(np.max(np.abs(ga)))))
-        ha = rosenbrock_hessian(p, config.kappa)
-        hf = finite_diff_hessian(objective, p)
-        hess_err = max(hess_err, float(np.max(np.abs(ha - hf))) / max(1.0, float(np.max(np.abs(ha)))))
+    # An undefined comparison such as inf - inf is nan, which np.maximum keeps.
+    with np.errstate(invalid="ignore"):
+        for p in _probe_grid():
+            ga = rosenbrock_gradient(p, config.kappa)
+            gf = finite_diff_gradient(objective, p)
+            grad_err = np.maximum(grad_err, np.max(np.abs(ga - gf)) / max(1.0, np.max(np.abs(ga))))
+            ha = rosenbrock_hessian(p, config.kappa)
+            hf = finite_diff_hessian(objective, p)
+            hess_err = np.maximum(hess_err, np.max(np.abs(ha - hf)) / max(1.0, np.max(np.abs(ha))))
     print(f"gradient max_rel_err={fmt_real(grad_err)}")
     print(f"hessian max_rel_err={fmt_real(hess_err)}")
     return 0

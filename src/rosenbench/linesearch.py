@@ -15,6 +15,9 @@ Six rules are provided:
   until the bracket is narrower than ``width_tol``; returns the midpoint.
 * ``ExactQuadratic`` -- closed-form exact minimization, valid only for
   quadratic objectives; used to exercise conjugate-direction theory.
+
+Each rule's ``select(line, rng=None)`` returns the step it chooses on a
+restriction, and its ``label()`` is the text that `parse_rule` reads back.
 """
 
 from __future__ import annotations
@@ -42,6 +45,11 @@ DEFAULT_GOLDEN_WIDTH_TOL = 1e-8
 _MIN_FIT_CURVATURE = 1e-18
 
 
+def fmt_real(v: float) -> str:
+    """Render a real with 17 significant digits (exact float round-trip)."""
+    return format(float(v), ".17g")
+
+
 @dataclass(frozen=True)
 class Fixed:
     """One constant step size used at every iteration."""
@@ -51,6 +59,12 @@ class Fixed:
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise InvalidInputError(f"fixed step must be positive, got {self.alpha}")
+
+    def label(self) -> str:
+        return f"fixed:{fmt_real(self.alpha)}"
+
+    def select(self, line: LineRestriction, rng=None) -> float:
+        return self.alpha
 
 
 @dataclass(frozen=True)
@@ -66,6 +80,35 @@ class VariableCandidates:
         for a in self.alphas:
             if not (math.isfinite(a) and a > 0.0):
                 raise InvalidInputError(f"candidate steps must be positive, got {a}")
+
+    def label(self) -> str:
+        return "variable:" + ",".join(map(fmt_real, self.alphas))
+
+    def select(self, line: LineRestriction, rng=None) -> float:
+        """Candidate with smallest phi; ties broken toward the smallest step."""
+        best = None
+        for a in self.alphas:
+            y = line(a)
+            if math.isfinite(y) and (best is None or (y, a) < best):
+                best = (y, a)
+        if best is None:
+            raise LineSearchFailedError(
+                f"phi is non-finite at every candidate step {self.alphas}"
+            )
+        return best[1]
+
+
+def _fallback_sample(samples, values) -> float:
+    # Best positive abscissa with finite phi; ties toward the smallest step.
+    best = None
+    for a, y in zip(samples, values):
+        if a > 0.0 and math.isfinite(y) and (best is None or (y, a) < best):
+            best = (y, a)
+    if best is None:
+        raise LineSearchFailedError(
+            f"phi is non-finite at every positive sample abscissa {samples}"
+        )
+    return best[1]
 
 
 @dataclass(frozen=True)
@@ -93,6 +136,31 @@ class QuadraticFit:
                 raise InvalidInputError(f"sample abscissae must be finite and >= 0, got {a}")
         object.__setattr__(self, "vandermonde", np.array([[a * a, a, 1.0] for a in samples]))
 
+    def label(self) -> str:
+        return "quadfit:" + ",".join(map(fmt_real, self.sample_alphas))
+
+    def select(self, line: LineRestriction, rng=None) -> float:
+        """Vertex of the parabola through (a_i, phi(a_i)), i = 1..3.
+
+        Solves the 3x3 interpolation system for the coefficients (a, b, c)
+        of a*x^2 + b*x + c.  Returns -b/(2a) when the fit is convex with a
+        positive vertex; otherwise the best positive sampled abscissa.
+        """
+        s = self.sample_alphas
+        y = (line(s[0]), line(s[1]), line(s[2]))
+        if all(map(math.isfinite, y)):
+            try:
+                coeffs = np.linalg.solve(self.vandermonde, y)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                a, b = float(coeffs[0]), float(coeffs[1])
+                if a > _MIN_FIT_CURVATURE:
+                    vertex = -b / (2.0 * a)
+                    if vertex > 0.0 and math.isfinite(vertex):
+                        return vertex
+        return _fallback_sample(s, y)
+
 
 @dataclass(frozen=True)
 class RandomQuadraticFit:
@@ -109,6 +177,11 @@ class RandomQuadraticFit:
         # floats besides lo and hi.
         if math.nextafter(math.nextafter(self.lo, math.inf), math.inf) >= self.hi:
             raise InvalidInputError(f"[{self.lo}, {self.hi}] holds too few floats for three samples")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise InvalidInputError(f"seed must be an integer >= 0, got {self.seed!r}")
+
+    def label(self) -> str:
+        return f"quadfit-random:{fmt_real(self.lo)},{fmt_real(self.hi)},seed={self.seed}"
 
     def draw(self, rng: np.random.Generator) -> QuadraticFit:
         """Draw three distinct abscissae (redraw on the measure-zero collision)."""
@@ -116,6 +189,12 @@ class RandomQuadraticFit:
             s = rng.uniform(self.lo, self.hi, 3)
             if s[0] != s[1] and s[1] != s[2] and s[0] != s[2]:
                 return QuadraticFit(tuple(s))
+
+    def select(self, line: LineRestriction, rng: np.random.Generator | None = None) -> float:
+        """The quadratic-fit step on abscissae drawn from `rng`, or a new one seeded `seed`."""
+        if rng is None:
+            rng = np.random.default_rng(self.seed)
+        return self.draw(rng).select(line)
 
 
 @dataclass(frozen=True)
@@ -137,13 +216,102 @@ class GoldenSection:
                 f"with tolerance {self.width_tol}"
             )
 
+    def label(self) -> str:
+        return f"golden:{fmt_real(self.lo)}:{fmt_real(self.hi)}:{fmt_real(self.width_tol)}"
+
+    def select(self, line: LineRestriction, rng=None) -> float:
+        """Golden-ratio bracket shrinking; returns the final bracket midpoint.
+
+        Each shrink step costs one new phi evaluation and multiplies the
+        bracket width by exactly INV_PHI.  No unimodality check is made: on
+        a multimodal phi the result is whatever the elimination keeps.
+        """
+        lo = self.lo
+        width = self.hi - self.lo
+        c = lo + INV_PHI_SQ * width
+        d = lo + INV_PHI * width
+        yc = line(c)
+        yd = line(d)
+        if not (math.isfinite(yc) and math.isfinite(yd)):
+            raise LineSearchFailedError("phi is non-finite inside the golden-section bracket")
+        while width > self.width_tol:
+            width *= INV_PHI
+            if yc < yd:
+                # Minimum is trapped in [lo, d]: drop the right section.
+                d = c
+                yd = yc
+                c = lo + INV_PHI_SQ * width
+                yc = line(c)
+                if not math.isfinite(yc):
+                    raise LineSearchFailedError("phi is non-finite inside the golden-section bracket")
+            else:
+                lo = c
+                c = d
+                yc = yd
+                d = lo + INV_PHI * width
+                yd = line(d)
+                if not math.isfinite(yd):
+                    raise LineSearchFailedError("phi is non-finite inside the golden-section bracket")
+        return lo + 0.5 * width
+
 
 @dataclass(frozen=True)
 class ExactQuadratic:
     """Closed-form exact line minimization; requires a quadratic objective."""
 
+    def label(self) -> str:
+        return "exact-quadratic"
+
+    def select(self, line: LineRestriction, rng=None) -> float:
+        """Exact minimizer -(g'd)/(d'Qd) of phi for a quadratic objective."""
+        objective = line.objective
+        if not isinstance(objective, QuadraticObjective):
+            raise InvalidInputError("exact line minimization requires a QuadraticObjective")
+        d = line.d
+        curvature = float(d @ objective.Q @ d)
+        if curvature <= 0.0:
+            raise InvalidDirectionError(f"direction has nonpositive curvature d'Qd = {curvature}")
+        g = objective.gradient(line.x)
+        return -float(g @ d) / curvature
+
 
 StepRule = Fixed | VariableCandidates | QuadraticFit | RandomQuadraticFit | GoldenSection | ExactQuadratic
+
+
+def parse_rule(text: str) -> StepRule:
+    """The rule whose ``label()`` is `text`; golden's tolerance may be left out.
+
+    Raises InvalidInputError for an unknown, malformed or invalid rule.
+    """
+    kind, _, spec = text.partition(":")
+    try:
+        if kind == "fixed":
+            return Fixed(float(spec))
+        # Both constructors convert each text to a float.
+        if kind == "variable":
+            return VariableCandidates(spec.split(","))
+        if kind == "quadfit":
+            return QuadraticFit(spec.split(","))
+        if kind == "quadfit-random":
+            lo, hi, seed = spec.split(",")
+            if not seed.startswith("seed="):
+                raise ValueError(f"expected seed=<n>, got {seed!r}")
+            return RandomQuadraticFit(float(lo), float(hi), int(seed[len("seed="):]))
+        if kind == "golden":
+            bounds = spec.split(":")
+            if len(bounds) not in (2, 3):
+                raise InvalidInputError("golden rule takes <lo>:<hi>[:<tol>]")
+            return GoldenSection(*map(float, bounds))
+        if text == "exact-quadratic":
+            return ExactQuadratic()
+    except InvalidInputError:
+        raise
+    except ValueError as exc:
+        raise InvalidInputError(f"malformed step rule {text!r}: {exc}") from None
+    raise InvalidInputError(
+        f"unknown step rule {text!r}; expected fixed:, variable:, quadfit:, "
+        "quadfit-random:, golden: or exact-quadratic"
+    )
 
 
 class LineRestriction:
@@ -213,134 +381,7 @@ def restrict(objective: Objective, x, d) -> LineRestriction:
     return LineRestriction(objective, x, d)
 
 
-def select_variable(line: LineRestriction, rule: VariableCandidates) -> float:
-    """Candidate with smallest phi; ties broken toward the smallest step."""
-    best = None
-    for a in rule.alphas:
-        y = line(a)
-        if math.isfinite(y) and (best is None or (y, a) < best):
-            best = (y, a)
-    if best is None:
-        raise LineSearchFailedError(
-            f"phi is non-finite at every candidate step {rule.alphas}"
-        )
-    return best[1]
-
-
-def _fallback_sample(samples, values) -> float:
-    # Best positive abscissa with finite phi; ties toward the smallest step.
-    best = None
-    for a, y in zip(samples, values):
-        if a > 0.0 and math.isfinite(y) and (best is None or (y, a) < best):
-            best = (y, a)
-    if best is None:
-        raise LineSearchFailedError(
-            f"phi is non-finite at every positive sample abscissa {samples}"
-        )
-    return best[1]
-
-
-def select_quadratic_fit(line: LineRestriction, rule: QuadraticFit) -> float:
-    """Vertex of the parabola through (a_i, phi(a_i)), i = 1..3.
-
-    Solves the 3x3 interpolation system for the coefficients (a, b, c) of
-    a*x^2 + b*x + c.  Returns -b/(2a) when the fit is convex with a positive
-    vertex; otherwise the best positive sampled abscissa.
-    """
-    s = rule.sample_alphas
-    y = (line(s[0]), line(s[1]), line(s[2]))
-    if all(map(math.isfinite, y)):
-        try:
-            coeffs = np.linalg.solve(rule.vandermonde, y)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            a, b = float(coeffs[0]), float(coeffs[1])
-            if a > _MIN_FIT_CURVATURE:
-                vertex = -b / (2.0 * a)
-                if vertex > 0.0 and math.isfinite(vertex):
-                    return vertex
-    return _fallback_sample(s, y)
-
-
-def select_golden_section(line: LineRestriction, rule: GoldenSection) -> float:
-    """Golden-ratio bracket shrinking; returns the final bracket midpoint.
-
-    Each shrink step costs one new phi evaluation and multiplies the
-    bracket width by exactly INV_PHI.  No unimodality check is made: on a
-    multimodal phi the result is whatever the elimination keeps.
-    """
-    lo = rule.lo
-    width = rule.hi - rule.lo
-    c = lo + INV_PHI_SQ * width
-    d = lo + INV_PHI * width
-    yc = line(c)
-    yd = line(d)
-    if not (math.isfinite(yc) and math.isfinite(yd)):
-        raise LineSearchFailedError("phi is non-finite inside the golden-section bracket")
-    while width > rule.width_tol:
-        width *= INV_PHI
-        if yc < yd:
-            # Minimum is trapped in [lo, d]: drop the right section.
-            d = c
-            yd = yc
-            c = lo + INV_PHI_SQ * width
-            yc = line(c)
-            if not math.isfinite(yc):
-                raise LineSearchFailedError("phi is non-finite inside the golden-section bracket")
-        else:
-            lo = c
-            c = d
-            yc = yd
-            d = lo + INV_PHI * width
-            yd = line(d)
-            if not math.isfinite(yd):
-                raise LineSearchFailedError("phi is non-finite inside the golden-section bracket")
-    return lo + 0.5 * width
-
-
-def select_exact_quadratic(line: LineRestriction) -> float:
-    """Exact minimizer -(g'd)/(d'Qd) of phi for a quadratic objective."""
-    objective = line.objective
-    if not isinstance(objective, QuadraticObjective):
-        raise InvalidInputError("exact line minimization requires a QuadraticObjective")
-    d = line.d
-    curvature = float(d @ objective.Q @ d)
-    if curvature <= 0.0:
-        raise InvalidDirectionError(f"direction has nonpositive curvature d'Qd = {curvature}")
-    g = objective.gradient(line.x)
-    return -float(g @ d) / curvature
-
-
-def select_step(
-    line: LineRestriction,
-    rule: StepRule,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Dispatch to the selector for `rule`.
-
-    `rng` is consulted only by RandomQuadraticFit; pass the same generator
-    across a run so every iteration draws fresh abscissae from one stream.
-    """
-    if isinstance(rule, Fixed):
-        return rule.alpha
-    if isinstance(rule, VariableCandidates):
-        return select_variable(line, rule)
-    if isinstance(rule, QuadraticFit):
-        return select_quadratic_fit(line, rule)
-    if isinstance(rule, RandomQuadraticFit):
-        if rng is None:
-            rng = np.random.default_rng(rule.seed)
-        return select_quadratic_fit(line, rule.draw(rng))
-    if isinstance(rule, GoldenSection):
-        return select_golden_section(line, rule)
-    if isinstance(rule, ExactQuadratic):
-        return select_exact_quadratic(line)
-    raise InvalidInputError(f"unknown step rule: {rule!r}")
-
-
-def rule_rng(rule: StepRule) -> np.random.Generator | None:
-    """Per-run generator for stochastic rules; None for deterministic ones."""
-    if isinstance(rule, RandomQuadraticFit):
-        return np.random.default_rng(rule.seed)
-    return None
+def select_step(line: LineRestriction, rule: StepRule,
+                rng: np.random.Generator | None = None) -> float:
+    """The step `rule` selects on `line`; `rng` feeds RandomQuadraticFit only."""
+    return rule.select(line, rng)

@@ -17,7 +17,6 @@ Runs are deterministic: identical inputs replay identical trajectories.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -29,9 +28,8 @@ from .linesearch import (
     Fixed,
     LineRestriction,
     PairRestriction,
+    RandomQuadraticFit,
     StepRule,
-    rule_rng,
-    select_step,
 )
 from .objectives import Objective, QuadraticObjective, Vector, as_vector
 
@@ -142,8 +140,11 @@ def _descent_loop(
     floats; any other is evaluated through ``value`` and ``gradient`` at
     ndarrays.  Points become ndarrays only in the records, the result and
     Newton's ``hessian`` call.  One restriction serves the whole run: its
-    ``x`` and ``d`` are rebound before each selector call.
+    ``x`` and ``d`` are rebound before each selector call.  A rule that is
+    not a StepRule is refused before the first evaluation.
     """
+    if rule is not None and not isinstance(rule, StepRule):
+        raise InvalidInputError(f"unknown step rule: {rule!r}")
     if isinstance(rule, ExactQuadratic) and not isinstance(objective, QuadraticObjective):
         raise InvalidInputError("the exact-quadratic rule requires a QuadraticObjective")
     x = as_vector(x0, getattr(objective, "dim", None))
@@ -159,7 +160,8 @@ def _descent_loop(
             return value_at(x), gradient_at(x)
 
         line = LineRestriction(objective, x, None)
-    rng = rule_rng(rule)
+    rng = np.random.default_rng(rule.seed) if isinstance(rule, RandomQuadraticFit) else None
+    select = None if rule is None else rule.select
     eps = policy.epsilon
     blowup = policy.blowup_norm
     cap = policy.max_iterations
@@ -237,7 +239,7 @@ def _descent_loop(
                 else:
                     line.d = (-g[0], -g[1]) if pair else -g
                 try:
-                    alpha = float(select_step(line, rule, rng))
+                    alpha = float(select(line, rng))
                 except (LineSearchFailedError, InvalidDirectionError):
                     # No finite step, or no positive curvature along the line.
                     return _finish(trajectory, RunStatus.DIVERGED, k, x, f, gn, alpha,
@@ -301,9 +303,3 @@ def newton_raphson(
     """
     return _descent_loop(objective, x0, None, policy, record_trajectory)
 
-
-def timed_run(fn, *args, **kwargs) -> tuple[RunResult, float]:
-    """Run a driver and return (result, wall-clock milliseconds)."""
-    t0 = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, (time.perf_counter() - t0) * 1e3

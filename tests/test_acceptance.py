@@ -41,7 +41,6 @@ from rosenbench import (
     trajectory_csv,
 )
 from rosenbench.bench import rule_label
-from rosenbench.linesearch import select_golden_section, select_quadratic_fit, select_variable
 
 GOLDENS = Path(__file__).resolve().parent.parent / "rosenperf" / "goldens"
 EPSILON = 1e-3
@@ -251,13 +250,13 @@ def test_criterion_9_line_search_oracles():
             s = tuple(float(v) for v in rng.uniform(0.01, 6.0, 3))
             if len(set(s)) == 3:
                 break
-        got = select_quadratic_fit(line, QuadraticFit(s))
+        got = QuadraticFit(s).select(line)
         if abs(got - vertex) > 1e-10 * abs(vertex):
             failures.append(f"quadfit vertex {vertex}: got {got}")
 
     # (b) golden section on (t-1)^2 over [0,2].
     line = restrict(ScalarObjective(lambda t: (t - 1.0) ** 2), [0.0], [1.0])
-    got = select_golden_section(line, GoldenSection(0.0, 2.0, 1e-6))
+    got = GoldenSection(0.0, 2.0, 1e-6).select(line)
     if abs(got - 1.0) > 1e-6:
         failures.append(f"golden section got {got}")
 
@@ -271,7 +270,7 @@ def test_criterion_9_line_search_oracles():
             continue
         line = restrict(obj, x, d)
         cands = tuple(float(v) for v in 10.0 ** rng.uniform(-5.0, 0.0, int(rng.integers(1, 6))))
-        got = select_variable(line, VariableCandidates(cands))
+        got = VariableCandidates(cands).select(line)
         want = min((line(aa), aa) for aa in cands)[1]
         if got != want:
             failures.append(f"variable on {cands}: got {got}, want {want}")

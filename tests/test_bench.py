@@ -178,6 +178,13 @@ class TestContourGrid:
             contour_grid(1.0, (0.0, 1.0), (2.0, 1.0), 11)
         with pytest.raises(InvalidInputError):
             contour_grid(1.0, (0.0, 1.0), (0.0, 1.0), 1)
+        # Finite ends whose width overflows, and an infinite end.
+        with pytest.raises(InvalidInputError):
+            contour_grid(1.0, (-1e308, 1e308), (0.0, 1.0), 3)
+        with pytest.raises(InvalidInputError):
+            contour_grid(1.0, (0.0, 1.0), (-1e308, 1e308), 3)
+        with pytest.raises(InvalidInputError):
+            contour_grid(1.0, (0.0, math.inf), (0.0, 1.0), 3)
 
 
 class TestCsvEmission:

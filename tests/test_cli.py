@@ -1,14 +1,19 @@
 """End-to-end tests for the command-line interface."""
 
+import warnings
+
 import pytest
 
-from rosenbench.cli import main, parse_args, parse_point, parse_step_rule
+from rosenbench.cli import main, parse_args, parse_point
+from rosenbench.errors import InvalidInputError
 from rosenbench.linesearch import (
+    ExactQuadratic,
     Fixed,
     GoldenSection,
     QuadraticFit,
     RandomQuadraticFit,
     VariableCandidates,
+    parse_rule,
 )
 
 
@@ -25,24 +30,30 @@ class TestParsing:
         assert config.policy.epsilon == 1e-3
 
     def test_step_rule_grammar(self):
-        assert parse_step_rule("fixed:0.124") == Fixed(0.124)
-        assert parse_step_rule("variable:0.000124,0.0124,0.124") == VariableCandidates(
+        assert parse_rule("fixed:0.124") == Fixed(0.124)
+        assert parse_rule("variable:0.000124,0.0124,0.124") == VariableCandidates(
             (0.000124, 0.0124, 0.124)
         )
-        assert parse_step_rule("quadfit:1e-5,6.7e-5,1.24e-4") == QuadraticFit(
+        assert parse_rule("quadfit:1e-5,6.7e-5,1.24e-4") == QuadraticFit(
             (1e-5, 6.7e-5, 1.24e-4)
         )
-        assert parse_step_rule("golden:1.24e-6:1.5") == GoldenSection(1.24e-6, 1.5, 1e-8)
-        assert parse_step_rule("golden:0:2:1e-6") == GoldenSection(0.0, 2.0, 1e-6)
+        assert parse_rule("golden:1.24e-6:1.5") == GoldenSection(1.24e-6, 1.5, 1e-8)
+        assert parse_rule("golden:0:2:1e-6") == GoldenSection(0.0, 2.0, 1e-6)
+        assert parse_rule("quadfit-random:1e-05,0.000124,seed=7") == RandomQuadraticFit(
+            1e-5, 1.24e-4, seed=7
+        )
+        assert parse_rule("exact-quadratic") == ExactQuadratic()
 
     @pytest.mark.parametrize(
         "text",
         ["fixed:-1", "fixed:0", "fixed:abc", "variable:", "quadfit:1e-5,2e-5",
-         "golden:2:1", "brent:0.1"],
+         "golden:2:1", "brent:0.1", "golden:1", "golden:0:1:1e-3:1",
+         "quadfit-random:1e-5,1e-4", "quadfit-random:1e-5,1e-4,7",
+         "quadfit-random:1e-5,1e-4,seed=-1", "exact-quadratic:1"],
     )
     def test_bad_step_rule(self, text):
-        with pytest.raises(ValueError):
-            parse_step_rule(text)
+        with pytest.raises(InvalidInputError):
+            parse_rule(text)
 
     def test_bad_point(self):
         with pytest.raises(ValueError):
@@ -54,6 +65,8 @@ class TestParsing:
             ["run", "--method", "sd"],                      # missing --step
             ["run", "--method", "newton", "--step", "fixed:0.1"],
             ["run", "--method", "sd", "--step", "fixed:0.1", "--restart", "2"],
+            ["run", "--method", "cg", "--step", "fixed:0.1", "--restart", "0"],
+            ["run", "--method", "sd", "--step", "exact-quadratic"],
             ["run", "--method", "sd", "--step", "fixed:0.1", "--seed", "1"],
             ["run", "--method", "sd", "--step", "fixed:0.1", "--kappa", "-2"],
             ["bench", "--eps", "0"],
@@ -63,6 +76,17 @@ class TestParsing:
             with pytest.raises(SystemExit) as exc:
                 parse_args(argv)
             assert exc.value.code == 2
+
+    @pytest.mark.parametrize("step, reason", [
+        ("fixed:-1", "fixed step must be positive"),
+        ("golden:2:1", "need hi - lo > width_tol"),
+        ("brent:0.1", "unknown step rule"),
+    ])
+    def test_bad_step_names_its_reason(self, capsys, step, reason):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["run", "--step", step])
+        assert exc.value.code == 2
+        assert reason in capsys.readouterr().err
 
     def test_seed_switches_quadfit_to_random_mode(self):
         config = parse_args(
@@ -189,3 +213,13 @@ class TestCheckgradCommand:
         hess_err = float(lines[1].split("=")[1])
         assert grad_err <= 1e-5
         assert hess_err <= 1e-5
+
+    def test_undefined_comparison_reads_nan(self, capsys):
+        # At kappa 1e308 every comparison is inf - inf; nan must not read as 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["checkgrad", "--kappa", "1e308"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "gradient max_rel_err=nan", "hessian max_rel_err=nan",
+        ]

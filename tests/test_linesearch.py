@@ -25,11 +25,8 @@ from rosenbench.linesearch import (
     INV_PHI,
     LineRestriction,
     PairRestriction,
-    select_exact_quadratic,
-    select_golden_section,
-    select_quadratic_fit,
+    parse_rule,
     select_step,
-    select_variable,
 )
 
 
@@ -144,6 +141,13 @@ class TestRuleValidation:
         with pytest.raises(InvalidInputError):
             RandomQuadraticFit(2e-4, 1e-4)
 
+    def test_random_quadfit_seed_is_a_nonnegative_integer(self):
+        # numpy refuses these seeds; the rule refuses them at construction.
+        for seed in (-1, 1.5):
+            with pytest.raises(InvalidInputError):
+                RandomQuadraticFit(1e-5, 1e-4, seed=seed)
+        assert RandomQuadraticFit(1e-5, 1e-4, seed=np.int64(3)) == RandomQuadraticFit(1e-5, 1e-4, 3)
+
     def test_random_quadfit_range_must_hold_three_samples(self):
         # Three distinct draws from [1, 1 + 2 ulp] could never be found.
         two_ulps = math.nextafter(math.nextafter(1.0, 2.0), 2.0)
@@ -171,24 +175,24 @@ class TestVariable:
     def test_example_candidates(self):
         line = restrict(RosenbrockObjective(1.0), (2.0, 2.0), (-18.0, 4.0))
         rule = VariableCandidates((0.000124, 0.0124, 0.124))
-        assert select_variable(line, rule) == 0.0124
+        assert rule.select(line) == 0.0124
 
     def test_single_candidate(self):
         line = restrict(RosenbrockObjective(1.0), (2.0, 2.0), (-18.0, 4.0))
-        assert select_variable(line, VariableCandidates((0.7,))) == 0.7
+        assert VariableCandidates((0.7,)).select(line) == 0.7
 
     def test_exact_minimizer_among_candidates(self):
         line = scalar_line(lambda t: (t - 1.0) ** 2)
-        assert select_variable(line, VariableCandidates((0.5, 1.0, 2.0))) == 1.0
+        assert VariableCandidates((0.5, 1.0, 2.0)).select(line) == 1.0
 
     def test_tie_breaks_to_smallest(self):
         line = scalar_line(lambda t: (t - 1.5) ** 2)  # phi(1) == phi(2)
-        assert select_variable(line, VariableCandidates((1.0, 2.0))) == 1.0
+        assert VariableCandidates((1.0, 2.0)).select(line) == 1.0
 
     def test_all_nonfinite_raises(self):
         line = scalar_line(lambda t: math.nan)
         with pytest.raises(LineSearchFailedError):
-            select_variable(line, VariableCandidates((0.1, 0.2)))
+            VariableCandidates((0.1, 0.2)).select(line)
 
     def test_matches_bruteforce_argmin(self):
         # Against a direct scan of the candidate list on randomized lines.
@@ -202,7 +206,7 @@ class TestVariable:
                 continue
             line = restrict(obj, x, d)
             cands = tuple(float(a) for a in 10.0 ** rng.uniform(-5.0, 0.0, rng.integers(1, 6)))
-            got = select_variable(line, VariableCandidates(cands))
+            got = VariableCandidates(cands).select(line)
             best = min((line(a), a) for a in cands)
             assert got == best[1]
             assert line(got) <= min(line(a) for a in cands)
@@ -212,30 +216,30 @@ class TestQuadraticFit:
     def test_hand_solved_system(self):
         # Parabola through (0,1), (1,-1), (2,1) is 2a^2 - 4a + 1: vertex 1.
         line = scalar_line(lambda t: 2.0 * t * t - 4.0 * t + 1.0)
-        got = select_quadratic_fit(line, QuadraticFit((0.0, 1.0, 2.0)))
+        got = QuadraticFit((0.0, 1.0, 2.0)).select(line)
         assert_allclose(got, 1.0, rtol=1e-10)
 
     def test_parabola_through_own_vertex(self):
         line = scalar_line(lambda t: (t - 3.0) ** 2)
-        got = select_quadratic_fit(line, QuadraticFit((2.0, 3.0, 4.0)))
+        got = QuadraticFit((2.0, 3.0, 4.0)).select(line)
         assert_allclose(got, 3.0, rtol=1e-10)
 
     def test_concave_falls_back_to_best_positive_sample(self):
         # (0,0), (1,1), (2,0): a = -1 < 0; best positive sample is 2.
         line = scalar_line(lambda t: -t * t + 2.0 * t)
-        got = select_quadratic_fit(line, QuadraticFit((0.0, 1.0, 2.0)))
+        got = QuadraticFit((0.0, 1.0, 2.0)).select(line)
         assert got == 2.0
 
     def test_nonpositive_vertex_falls_back(self):
         # Convex with vertex at -1: fall back to the sample with smallest phi.
         line = scalar_line(lambda t: (t + 1.0) ** 2)
-        got = select_quadratic_fit(line, QuadraticFit((0.5, 1.0, 2.0)))
+        got = QuadraticFit((0.5, 1.0, 2.0)).select(line)
         assert got == 0.5
 
     def test_all_nonfinite_raises(self):
         line = scalar_line(lambda t: math.inf)
         with pytest.raises(LineSearchFailedError):
-            select_quadratic_fit(line, QuadraticFit((0.5, 1.0, 2.0)))
+            QuadraticFit((0.5, 1.0, 2.0)).select(line)
 
     def test_exact_on_synthetic_parabolas(self):
         # Vertex recovered to 1e-10 relative for any distinct sample triple.
@@ -250,19 +254,19 @@ class TestQuadraticFit:
                 s = tuple(float(v) for v in rng.uniform(0.01, 6.0, 3))
                 if len(set(s)) == 3:
                     break
-            got = select_quadratic_fit(line, QuadraticFit(s))
+            got = QuadraticFit(s).select(line)
             assert_allclose(got, vertex, rtol=1e-10)
 
 
 class TestGoldenSection:
     def test_symmetric_minimum(self):
         line = scalar_line(lambda t: (t - 1.0) ** 2)
-        got = select_golden_section(line, GoldenSection(0.0, 2.0, 1e-6))
+        got = GoldenSection(0.0, 2.0, 1e-6).select(line)
         assert abs(got - 1.0) <= 1e-6
 
     def test_monotone_collapses_to_lower_endpoint(self):
         line = scalar_line(lambda t: 3.0 * t + 1.0)
-        got = select_golden_section(line, GoldenSection(0.0, 1.0, 1e-6))
+        got = GoldenSection(0.0, 1.0, 1e-6).select(line)
         assert abs(got) <= 1e-6
 
     def test_bracket_width_recursion(self):
@@ -277,7 +281,7 @@ class TestGoldenSection:
 
         lo, hi, tol = 0.0, 2.0, 1e-6
         line = scalar_line(phi)
-        select_golden_section(line, GoldenSection(lo, hi, tol))
+        GoldenSection(lo, hi, tol).select(line)
         width = hi - lo
         shrinks = 0
         while width > tol:
@@ -295,28 +299,28 @@ class TestGoldenSection:
             c = float(rng.uniform(0.1, 1.9))
             for fn in (lambda t, c=c: (t - c) ** 2, lambda t, c=c: (t - c) ** 4 + 0.5 * abs(t - c)):
                 line = scalar_line(fn)
-                got = select_golden_section(line, GoldenSection(0.0, 2.0, tol))
+                got = GoldenSection(0.0, 2.0, tol).select(line)
                 oracle = grid[np.argmin([fn(t) for t in grid])]
                 assert abs(got - oracle) <= 1.1 * tol
 
     def test_nonfinite_raises(self):
         line = scalar_line(lambda t: math.nan if t > 0.5 else t)
         with pytest.raises(LineSearchFailedError):
-            select_golden_section(line, GoldenSection(0.0, 1.0, 1e-6))
+            GoldenSection(0.0, 1.0, 1e-6).select(line)
 
 
 class TestExactQuadratic:
     def test_unit_curvature_lands_at_minimizer(self):
         q = QuadraticObjective(np.eye(2), [0.0, 0.0])
         line = restrict(q, [3.0, 0.0], [-3.0, 0.0])
-        alpha = select_exact_quadratic(line)
+        alpha = ExactQuadratic().select(line)
         assert alpha == 1.0
         assert_allclose(line.x + alpha * line.d, [0.0, 0.0], atol=0)
 
     def test_diagonal_example(self):
         q = QuadraticObjective(np.diag([2.0, 4.0]), [0.0, 0.0])
         line = restrict(q, [1.0, 0.0], [-2.0, 0.0])
-        assert select_exact_quadratic(line) == 0.5
+        assert ExactQuadratic().select(line) == 0.5
 
     def test_landing_gradient_orthogonal_to_direction(self):
         rng = np.random.default_rng(17)
@@ -327,14 +331,14 @@ class TestExactQuadratic:
             x = rng.standard_normal(n)
             d = rng.standard_normal(n)
             line = restrict(q, x, d)
-            alpha = select_exact_quadratic(line)
+            alpha = ExactQuadratic().select(line)
             g_land = q.gradient(line.x + alpha * line.d)
             assert abs(float(g_land @ d)) <= 1e-10 * max(1.0, float(d @ d))
 
     def test_requires_quadratic_objective(self):
         line = restrict(RosenbrockObjective(1.0), (2.0, 2.0), (-1.0, 0.0))
         with pytest.raises(InvalidInputError):
-            select_exact_quadratic(line)
+            ExactQuadratic().select(line)
 
 
 class TestRandomQuadraticFit:

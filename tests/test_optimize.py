@@ -184,6 +184,13 @@ class TestSteepestDescent:
             assert r.iterations == 0
             assert len(r.trajectory) == 1
 
+    def test_unknown_rule_is_refused_before_any_evaluation(self):
+        objective = SteepWall(1.0)
+        for driver in (steepest_descent, fletcher_reeves_cg):
+            with pytest.raises(InvalidInputError, match="unknown step rule"):
+                driver(objective, (1.0, 0.0), "fixed:0.5")
+        assert objective.evaluated == []
+
     def test_first_iterate_hand_computed(self):
         # (2,2) - 0.0124*(18,-4) = (1.7768, 2.0496)
         r = steepest_descent(RosenbrockObjective(1.0), (2.0, 2.0), Fixed(0.0124))

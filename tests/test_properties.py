@@ -8,10 +8,14 @@ without a warning and with the same bits on a repeat run -- and report
 `converged` exactly when its final gradient norm is at most epsilon.  The
 same holds on quadratics 0.5 x'Qx - x'b of dimension up to 6, whose SPD Q
 is drawn from a seeded spectrum and whose start and b span magnitudes down
-to the subnormals.  Iteration caps stay small so the suite stays fast; the
+to the subnormals.  Every rule's label parses back to the rule, and every
+argv drawn from the command-line flags exits 0, 1 or 2 without a traceback
+or a warning.  Iteration caps stay small so the suite stays fast; the
 examples are derandomized so it is repeatable.
 """
 
+import contextlib
+import io
 import math
 import warnings
 
@@ -35,6 +39,8 @@ from rosenbench import (
     newton_raphson,
     steepest_descent,
 )
+from rosenbench.cli import main
+from rosenbench.linesearch import parse_rule
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -98,7 +104,7 @@ def quadratic_problems(draw):
     return valid(QuadraticObjective, 0.5 * (Q + Q.T), b), scale * rng.standard_normal(n)
 
 
-quadratic_rules = st.one_of(st.just(ExactQuadratic()), step_rules(kinds=("golden",)))
+quadratic_rules = st.one_of(st.just(ExactQuadratic()), step_rules())
 
 
 def run(driver, objective, x0, *args):
@@ -172,3 +178,80 @@ def test_newton_run_completes_repeats_and_reports_its_status(kappa, x0, policy):
 def test_newton_quadratic_run_completes_repeats_and_reports_its_status(problem, policy):
     check_status(newton_raphson, *problem, policy)
     check_same_bits(newton_raphson, *problem, policy)
+
+
+@SETTINGS
+@given(st.one_of(step_rules(), st.just(ExactQuadratic())))
+def test_label_parses_back_to_the_rule(rule):
+    assert parse_rule(rule.label()) == rule
+
+
+def mostly(common, odd):
+    """`common` three times in four, else `odd`."""
+    return st.integers(0, 3).flatmap(lambda i: common if i < 3 else odd)
+
+
+reals = mostly(
+    st.floats(min_value=1e-6, max_value=1e3).map(repr),
+    st.one_of(st.sampled_from(("0", "-1", "1e308", "-1e308", "5e-324")), st.floats().map(repr)),
+)
+step_texts = mostly(
+    step_rules().map(lambda rule: rule.label()),
+    st.one_of(
+        st.sampled_from(("exact-quadratic", "brent:0.1", "quadfit-random:1e-5,1e-4,seed=-1")),
+        st.builds(lambda kind, values, sep: f"{kind}:{sep.join(values)}",
+                  st.sampled_from(("fixed", "variable", "quadfit", "quadfit-random", "golden")),
+                  st.lists(reals, max_size=4), st.sampled_from((",", ":"))),
+    ),
+)
+usually = st.integers(0, 9).map(lambda i: i < 9)
+rarely = st.integers(0, 9).map(lambda i: i == 9)
+
+
+@st.composite
+def cli_argvs(draw, out_dir):
+    """An argv of one subcommand, mostly of flags that belong together."""
+    def flag(name, values, present=st.booleans()):
+        return [f"--{name}={draw(values)}"] if draw(present) else []
+
+    paths = st.sampled_from((out_dir / "out.csv", out_dir / "missing" / "out.csv"))
+    command = draw(st.sampled_from(("run", "bench", "contour", "checkgrad")))
+    argv = [command]
+    if command in ("run", "bench"):
+        argv += [f"--max-iter={draw(st.integers(-1, 50))}"]
+        argv += flag("eps", reals) + flag("blowup", reals)
+    if command == "run":
+        method = draw(st.sampled_from(("sd", "newton", "cg")))
+        argv += [f"--method={method}"]
+        argv += flag("step", step_texts, rarely if method == "newton" else usually)
+        argv += flag("kappa", reals) + flag("traj", paths)
+        argv += flag("start", st.builds(lambda a, b: f"{a},{b}", reals, reals))
+        argv += flag("restart", st.integers(-1, 5), st.booleans() if method == "cg" else rarely)
+        argv += flag("seed", st.integers(-1, 2**32), rarely)
+    if command == "bench":
+        argv += flag("out", paths)
+    if command == "contour":
+        argv += [f"--resolution={draw(st.integers(-1, 64))}"]
+        for name in ("kappa", "xmin", "xmax", "ymin", "ymax"):
+            argv += flag(name, reals)
+        argv += flag("out", paths)
+    if command == "checkgrad":
+        argv += flag("kappa", reals)
+    return argv
+
+
+@settings(SETTINGS, max_examples=100,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_cli_exits_0_1_or_2_without_a_traceback_or_a_warning(tmp_path, data):
+    argv = data.draw(cli_argvs(tmp_path))
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a usage error
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
