@@ -18,11 +18,6 @@ import numpy as np
 
 from .errors import IncomparableVariantsError, InvalidInputError
 from .linesearch import (
-    DEFAULT_GOLDEN_HI,
-    DEFAULT_GOLDEN_LO,
-    DEFAULT_GOLDEN_WIDTH_TOL,
-    DEFAULT_QUADFIT_SAMPLES,
-    DEFAULT_VARIABLE_ALPHAS,
     Fixed,
     GoldenSection,
     QuadraticFit,
@@ -32,7 +27,6 @@ from .linesearch import (
 )
 from .objectives import Matrix, RosenbrockObjective, rosenbrock_value
 from .optimize import (
-    DivergenceReason,
     RunResult,
     RunStatus,
     TerminationPolicy,
@@ -43,17 +37,9 @@ from .optimize import (
 
 DEFAULT_FIXED_ALPHAS = (0.124, 0.0124, 0.00124, 0.000124)
 
-_STATUS_LABELS = {
-    (RunStatus.CONVERGED, None): "converged",
-    (RunStatus.DIVERGED, DivergenceReason.ITERATE_BLOWUP): "diverged_blowup",
-    (RunStatus.DIVERGED, DivergenceReason.NON_FINITE_VALUE): "diverged_nonfinite",
-    (RunStatus.DIVERGED, DivergenceReason.SINGULAR_HESSIAN): "diverged_singular_hessian",
-    (RunStatus.MAX_ITERATIONS, None): "max_iter",
-}
-
 
 def status_label(result: RunResult) -> str:
-    return _STATUS_LABELS[(result.status, result.divergence_reason)]
+    return result.status.value
 
 
 def rule_label(rule: StepRule | None) -> str:
@@ -73,11 +59,7 @@ class ExperimentMatrix:
     def cells(self) -> list[tuple[str, StepRule | None]]:
         """Deterministic cell order: SD fixed sweep, SD adaptive rules, Newton, CG fixed sweep."""
         sd: list[tuple[str, StepRule | None]] = [("sd", Fixed(a)) for a in self.fixed_alphas]
-        sd += [
-            ("sd", VariableCandidates(DEFAULT_VARIABLE_ALPHAS)),
-            ("sd", QuadraticFit(DEFAULT_QUADFIT_SAMPLES)),
-            ("sd", GoldenSection(DEFAULT_GOLDEN_LO, DEFAULT_GOLDEN_HI, DEFAULT_GOLDEN_WIDTH_TOL)),
-        ]
+        sd += [("sd", VariableCandidates()), ("sd", QuadraticFit()), ("sd", GoldenSection())]
         return sd + [("newton", None)] + [("cg", Fixed(a)) for a in self.fixed_alphas]
 
 
@@ -191,7 +173,7 @@ def compare_sd_variants(
                 f"no steepest-descent row for variant {variant!r} at kappa={kappa}, start={start}"
             )
         row = match[0]
-        if row.status != "converged":
+        if row.status != RunStatus.CONVERGED.value:
             raise IncomparableVariantsError(
                 f"variant {variant!r} did not converge at kappa={kappa}, start={start} "
                 f"(status {row.status})"

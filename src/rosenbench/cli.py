@@ -18,7 +18,8 @@ three abscissae per iteration from [min(samples), max(samples)].
 
 A diverged run is a recorded experimental outcome, not a failure: exit
 status is 0 for any completed computation, 1 for an internal error such as
-an unwritable output path, and 2 for a usage error.
+an unwritable output path or a grid too large to allocate, and 2 for a
+usage error.
 """
 
 from __future__ import annotations
@@ -222,10 +223,7 @@ def execute(config) -> int:
     }
     try:
         return handlers[config.subcommand](config)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (InvalidInputError, ValueError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -35,15 +35,13 @@ from .objectives import Objective, QuadraticObjective, Vector, as_vector
 
 
 class RunStatus(Enum):
+    """How a run ended; the value is the results CSV's ``status`` label."""
+
     CONVERGED = "converged"
-    DIVERGED = "diverged"
-    MAX_ITERATIONS = "max_iterations"
-
-
-class DivergenceReason(Enum):
-    ITERATE_BLOWUP = "iterate-blowup"
-    NON_FINITE_VALUE = "non-finite-value"
-    SINGULAR_HESSIAN = "singular-hessian"
+    DIVERGED_BLOWUP = "diverged_blowup"
+    DIVERGED_NONFINITE = "diverged_nonfinite"
+    DIVERGED_SINGULAR_HESSIAN = "diverged_singular_hessian"
+    MAX_ITERATIONS = "max_iter"
 
 
 @dataclass(frozen=True)
@@ -91,11 +89,6 @@ class RunResult:
     final_value: float
     final_grad_norm: float
     trajectory: list[IterateRecord] = field(default_factory=list)
-    divergence_reason: DivergenceReason | None = None
-
-    @property
-    def converged(self) -> bool:
-        return self.status is RunStatus.CONVERGED
 
 
 def fletcher_reeves_beta(g_next, g, gg_next: float, gg: float) -> float:
@@ -111,11 +104,11 @@ def fletcher_reeves_beta(g_next, g, gg_next: float, gg: float) -> float:
     return gg_next / gg
 
 
-def _finish(trajectory, status, k, x, f, gn, alpha, reason=None) -> RunResult:
+def _finish(trajectory, status, k, x, f, gn, alpha) -> RunResult:
     """Record the final iterate (unless it already is the last record) and close the run."""
     if not trajectory or trajectory[-1].k != k:
         trajectory.append(IterateRecord(k, np.array(x), f, gn, alpha))
-    return RunResult(status, k, np.array(x), f, gn, trajectory, reason)
+    return RunResult(status, k, np.array(x), f, gn, trajectory)
 
 
 def _descent_loop(
@@ -189,18 +182,16 @@ def _descent_loop(
                 gn = hypot(*g)
             except (InvalidInputError, OverflowError):
                 # The iterate is not finite, or the objective refused it.
-                return _finish(trajectory, RunStatus.DIVERGED, k, x, math.nan, math.nan, alpha,
-                               DivergenceReason.NON_FINITE_VALUE)
+                return _finish(trajectory, RunStatus.DIVERGED_NONFINITE, k, x, math.nan, math.nan,
+                               alpha)
             if record_trajectory or k == 0:
                 trajectory.append(IterateRecord(k, np.array(x), f, gn, alpha))
             if gn <= eps:
                 return _finish(trajectory, RunStatus.CONVERGED, k, x, f, gn, alpha)
             if xn > blowup:
-                return _finish(trajectory, RunStatus.DIVERGED, k, x, f, gn, alpha,
-                               DivergenceReason.ITERATE_BLOWUP)
+                return _finish(trajectory, RunStatus.DIVERGED_BLOWUP, k, x, f, gn, alpha)
             if not (isfinite(xn) and isfinite(f)):
-                return _finish(trajectory, RunStatus.DIVERGED, k, x, f, gn, alpha,
-                               DivergenceReason.NON_FINITE_VALUE)
+                return _finish(trajectory, RunStatus.DIVERGED_NONFINITE, k, x, f, gn, alpha)
             if k == cap:
                 return _finish(trajectory, RunStatus.MAX_ITERATIONS, k, x, f, gn, alpha)
             if special:
@@ -210,8 +201,8 @@ def _descent_loop(
                     scale = float(np.linalg.norm(H, "fro"))
                     if (not (isfinite(scale) and scale > 0.0)
                             or abs(float(np.linalg.det(H / scale))) <= 1e-12):
-                        return _finish(trajectory, RunStatus.DIVERGED, k, x, f, gn, alpha,
-                                       DivergenceReason.SINGULAR_HESSIAN)
+                        return _finish(trajectory, RunStatus.DIVERGED_SINGULAR_HESSIAN, k, x, f,
+                                       gn, alpha)
                     if pair:
                         s1, s2 = np.linalg.solve(H, g).tolist()
                         x = (x[0] - s1, x[1] - s2)
@@ -242,8 +233,7 @@ def _descent_loop(
                     alpha = float(select(line, rng))
                 except (LineSearchFailedError, InvalidDirectionError):
                     # No finite step, or no positive curvature along the line.
-                    return _finish(trajectory, RunStatus.DIVERGED, k, x, f, gn, alpha,
-                                   DivergenceReason.NON_FINITE_VALUE)
+                    return _finish(trajectory, RunStatus.DIVERGED_NONFINITE, k, x, f, gn, alpha)
             if conjugate:
                 x = (x[0] + alpha * d[0], x[1] + alpha * d[1]) if pair else x + alpha * d
             else:

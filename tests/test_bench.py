@@ -8,22 +8,28 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rosenbench import (
+    ExactQuadratic,
     ExperimentMatrix,
+    Fixed,
     IncomparableVariantsError,
     InvalidInputError,
+    QuadraticObjective,
     ResultRow,
     RosenbrockObjective,
+    RunStatus,
     TerminationPolicy,
     compare_sd_variants,
     contour_grid,
+    fletcher_reeves_cg,
     grid_csv,
     newton_raphson,
     results_csv,
     rosenbrock_value,
     run_matrix,
+    steepest_descent,
     trajectory_csv,
 )
-from rosenbench.bench import RESULTS_HEADER, rule_label, run_cell
+from rosenbench.bench import RESULTS_HEADER, rule_label, run_cell, status_label
 
 SMALL = ExperimentMatrix(kappas=(1.0,), starts=((2.0, 2.0),), fixed_alphas=(0.0124,))
 
@@ -94,6 +100,36 @@ class TestRunMatrix:
         row = run_cell("newton", None, 1.0, (1.0, 1.0), TerminationPolicy())
         assert row.status == "converged"
         assert row.iterations == 0
+
+
+class TestStatusLabel:
+    """One run ending in each RunStatus member, labelled as the README's CSV formats list."""
+
+    @pytest.mark.parametrize("status, label, run", [
+        (RunStatus.CONVERGED, "converged",
+         lambda: steepest_descent(RosenbrockObjective(1.0), (2.0, 2.0), Fixed(0.124))),
+        (RunStatus.DIVERGED_BLOWUP, "diverged_blowup",
+         lambda: fletcher_reeves_cg(RosenbrockObjective(100.0), (5.0, 5.0), Fixed(0.0124))),
+        # d'Qd underflows to 0 along the first direction.
+        (RunStatus.DIVERGED_NONFINITE, "diverged_nonfinite",
+         lambda: steepest_descent(QuadraticObjective(np.eye(2), [0.0, 0.0]), (1e-170, 0.0),
+                                  ExactQuadratic(), TerminationPolicy(epsilon=1e-300))),
+        # The Frobenius norm of F(2, 2) overflows to inf.
+        (RunStatus.DIVERGED_SINGULAR_HESSIAN, "diverged_singular_hessian",
+         lambda: newton_raphson(RosenbrockObjective(1e300), (2.0, 2.0))),
+        (RunStatus.MAX_ITERATIONS, "max_iter",
+         lambda: steepest_descent(RosenbrockObjective(1.0), (2.0, 2.0), Fixed(0.124),
+                                  TerminationPolicy(max_iterations=1))),
+    ], ids=[s.value for s in RunStatus])
+    def test_each_status_is_its_label(self, status, label, run):
+        r = run()
+        assert r.status is status
+        assert status_label(r) == r.status.value == label
+
+    def test_five_members(self):
+        assert [s.value for s in RunStatus] == [
+            "converged", "diverged_blowup", "diverged_nonfinite", "diverged_singular_hessian",
+            "max_iter"]
 
 
 class TestCompareVariants:

@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+from rosenbench import cli
 from rosenbench.cli import main, parse_args, parse_point
 from rosenbench.errors import InvalidInputError
 from rosenbench.linesearch import (
@@ -200,6 +201,16 @@ class TestContourCommand:
         rc = main(["contour", "--resolution", "1"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_grid_too_large_for_memory_exits_1(self, monkeypatch, capsys):
+        def contour_grid(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(cli, "contour_grid", contour_grid)
+        rc = main(["contour", "--resolution", "1000000"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines() == ["error: Unable to allocate 7.28 TiB"]
 
 
 class TestCheckgradCommand:
