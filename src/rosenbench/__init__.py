@@ -34,9 +34,6 @@ from .objectives import (
     RosenbrockObjective,
     finite_diff_gradient,
     finite_diff_hessian,
-    rosenbrock_gradient,
-    rosenbrock_hessian,
-    rosenbrock_value,
 )
 from .optimize import (
     IterateRecord,
@@ -79,9 +76,6 @@ __all__ = [
     "newton_raphson",
     "restrict",
     "results_csv",
-    "rosenbrock_gradient",
-    "rosenbrock_hessian",
-    "rosenbrock_value",
     "run_matrix",
     "select_step",
     "steepest_descent",

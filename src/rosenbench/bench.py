@@ -25,7 +25,7 @@ from .linesearch import (
     VariableCandidates,
     fmt_real,
 )
-from .objectives import Matrix, RosenbrockObjective, rosenbrock_value
+from .objectives import Matrix, RosenbrockObjective
 from .optimize import (
     RunResult,
     RunStatus,
@@ -213,17 +213,19 @@ def contour_grid(
         raise InvalidInputError(f"degenerate grid ranges x={x_range}, y={y_range}")
     if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)):
         raise InvalidInputError(f"grid range widths overflow: x={x_range}, y={y_range}")
-    rosenbrock_value((x_lo, y_lo), kappa)  # validates kappa and finiteness
+    kappa = RosenbrockObjective(kappa).kappa  # validates kappa
     xs = np.linspace(x_lo, x_hi, resolution)
     ys = np.linspace(y_lo, y_hi, resolution)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    # Same operation order as rosenbrock_value, so entries agree bitwise; a
-    # value that overflows is inf, as the scalar evaluation gives.
+    # f in the operation order of RosenbrockObjective.value_and_gradient, so
+    # entries agree with `value` bitwise; a value that overflows is inf, as
+    # the scalar evaluation gives.  The fused method on arrays would also
+    # build the two gradient grids, which raises the peak memory.
     with np.errstate(over="ignore", invalid="ignore"):
         T = X * X - Y
         U = X - 1.0
-        values = float(kappa) * T * T + U * U
-    return ContourGrid(kappa=float(kappa), xs=xs, ys=ys, values=values)
+        values = kappa * T * T + U * U
+    return ContourGrid(kappa=kappa, xs=xs, ys=ys, values=values)
 
 
 RESULTS_HEADER = "method,step_rule,kappa,x0_1,x0_2,status,iterations,final_f,final_grad_norm,wall_ms"

@@ -43,13 +43,7 @@ from .bench import (
 )
 from .errors import InvalidInputError
 from .linesearch import ExactQuadratic, QuadraticFit, RandomQuadraticFit, parse_rule
-from .objectives import (
-    RosenbrockObjective,
-    finite_diff_gradient,
-    finite_diff_hessian,
-    rosenbrock_gradient,
-    rosenbrock_hessian,
-)
+from .objectives import RosenbrockObjective, finite_diff_gradient, finite_diff_hessian
 from .optimize import TerminationPolicy
 
 
@@ -202,10 +196,10 @@ def _cmd_checkgrad(config) -> int:
     # An undefined comparison such as inf - inf is nan, which np.maximum keeps.
     with np.errstate(invalid="ignore"):
         for p in _probe_grid():
-            ga = rosenbrock_gradient(p, config.kappa)
+            ga = objective.gradient(p)
             gf = finite_diff_gradient(objective, p)
             grad_err = np.maximum(grad_err, np.max(np.abs(ga - gf)) / max(1.0, np.max(np.abs(ga))))
-            ha = rosenbrock_hessian(p, config.kappa)
+            ha = objective.hessian(p)
             hf = finite_diff_hessian(objective, p)
             hess_err = np.maximum(hess_err, np.max(np.abs(ha - hf)) / max(1.0, np.max(np.abs(ha))))
     print(f"gradient max_rel_err={fmt_real(grad_err)}")

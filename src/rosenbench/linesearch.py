@@ -177,8 +177,10 @@ class RandomQuadraticFit:
         # floats besides lo and hi.
         if math.nextafter(math.nextafter(self.lo, math.inf), math.inf) >= self.hi:
             raise InvalidInputError(f"[{self.lo}, {self.hi}] holds too few floats for three samples")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise InvalidInputError(f"seed must be an integer >= 0, got {self.seed!r}")
+        # bool is an int, but a label "seed=True" would not parse back.
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
 
     def label(self) -> str:
         return f"quadfit-random:{fmt_real(self.lo)},{fmt_real(self.hi)},seed={self.seed}"

@@ -37,10 +37,11 @@ class Objective(Protocol):
 
     A two-dimensional objective may also define ``value_and_gradient(x)``:
     ``x`` is a pair of finite Python floats, already validated, and the
-    result is ``(f, (g1, g2))`` in floats, bit for bit equal to ``value``
-    and ``gradient``.  The drivers and line restrictions then carry their
-    points as float pairs and call only that method, so a subclass that
-    overrides ``value`` or ``gradient`` must override it too.
+    result is ``(f, (g1, g2))`` in floats.  The drivers and line
+    restrictions then carry their points as float pairs and call only that
+    method.  On ``RosenbrockObjective``, ``value`` and ``gradient`` check
+    the point and call ``value_and_gradient``, so a subclass overrides that
+    one method (and ``hessian`` for Newton).
     """
 
     def value(self, x: Vector) -> float: ...
@@ -77,63 +78,36 @@ def _pair(p) -> tuple[float, float]:
     return x1, x2
 
 
-def _check_kappa(kappa: float) -> float:
-    kappa = float(kappa)
-    if not (math.isfinite(kappa) and kappa > 0.0):
-        raise InvalidInputError(f"kappa must be a positive finite real, got {kappa}")
-    return kappa
-
-
-def rosenbrock_value(p, kappa: float = 1.0) -> float:
-    """kappa*(x1^2 - x2)^2 + (x1 - 1)^2; nonnegative, zero only at (1, 1)."""
-    x1, x2 = _pair(p)
-    t = x1 * x1 - x2
-    u = x1 - 1.0
-    return _check_kappa(kappa) * t * t + u * u
-
-
-def rosenbrock_gradient(p, kappa: float = 1.0) -> Vector:
-    """Analytic gradient: (4k*x1*(x1^2 - x2) + 2(x1 - 1), -2k*(x1^2 - x2))."""
-    x1, x2 = _pair(p)
-    k = _check_kappa(kappa)
-    t = x1 * x1 - x2
-    return np.array([4.0 * k * x1 * t + 2.0 * (x1 - 1.0), -2.0 * k * t])
-
-
-def rosenbrock_hessian(p, kappa: float = 1.0) -> Matrix:
-    """Analytic Hessian [[12k*x1^2 - 4k*x2 + 2, -4k*x1], [-4k*x1, 2k]]."""
-    x1, x2 = _pair(p)
-    k = _check_kappa(kappa)
-    off = -4.0 * k * x1
-    return np.array([[12.0 * k * x1 * x1 - 4.0 * k * x2 + 2.0, off], [off, 2.0 * k]])
-
-
 class RosenbrockObjective:
     """The kappa-parameterized valley function, fixed at dimension 2."""
 
     dim = 2
 
     def __init__(self, kappa: float = 1.0):
-        self.kappa = _check_kappa(kappa)
+        self.kappa = float(kappa)
+        if not (math.isfinite(self.kappa) and self.kappa > 0.0):
+            raise InvalidInputError(f"kappa must be a positive finite real, got {self.kappa}")
 
     def __repr__(self) -> str:
         return f"RosenbrockObjective(kappa={self.kappa!r})"
 
     def value(self, x) -> float:
-        return rosenbrock_value(x, self.kappa)
+        """kappa*(x1^2 - x2)^2 + (x1 - 1)^2; nonnegative, zero only at (1, 1)."""
+        return self.value_and_gradient(_pair(x))[0]
 
     def gradient(self, x) -> Vector:
-        return rosenbrock_gradient(x, self.kappa)
+        """Analytic gradient: (4k*x1*(x1^2 - x2) + 2(x1 - 1), -2k*(x1^2 - x2))."""
+        return np.array(self.value_and_gradient(_pair(x))[1])
 
     def hessian(self, x) -> Matrix:
-        return rosenbrock_hessian(x, self.kappa)
+        """Analytic Hessian [[12k*x1^2 - 4k*x2 + 2, -4k*x1], [-4k*x1, 2k]]."""
+        x1, x2 = _pair(x)
+        k = self.kappa
+        off = -4.0 * k * x1
+        return np.array([[12.0 * k * x1 * x1 - 4.0 * k * x2 + 2.0, off], [off, 2.0 * k]])
 
     def value_and_gradient(self, x) -> tuple[float, tuple[float, float]]:
-        """Fused f and grad f at a validated pair of floats (see Objective).
-
-        Unchecked, and in the operation order of rosenbrock_value and
-        rosenbrock_gradient, so both agree with it to the bit.
-        """
+        """The one formula for f and grad f, at a validated pair of floats (see Objective)."""
         x1, x2 = x
         k = self.kappa
         t = x1 * x1 - x2

@@ -55,8 +55,10 @@ class TerminationPolicy:
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise InvalidInputError(f"epsilon must be positive, got {self.epsilon}")
-        if self.max_iterations < 1:
-            raise InvalidInputError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        # The cap fires on k == max_iterations, which a non-integer never meets.
+        cap = self.max_iterations
+        if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
+            raise InvalidInputError(f"max_iterations must be an integer >= 1, got {cap!r}")
         if not self.blowup_norm > self.epsilon:
             raise InvalidInputError(
                 f"blowup_norm must exceed epsilon, got {self.blowup_norm} <= {self.epsilon}"

@@ -24,7 +24,6 @@ from rosenbench import (
     grid_csv,
     newton_raphson,
     results_csv,
-    rosenbrock_value,
     run_matrix,
     steepest_descent,
     trajectory_csv,
@@ -194,7 +193,7 @@ class TestContourGrid:
         rng = np.random.default_rng(13)
         for _ in range(50):
             i, j = rng.integers(0, 41, 2)
-            assert grid.values[i, j] == rosenbrock_value((grid.xs[i], grid.ys[j]), 100.0)
+            assert grid.values[i, j] == RosenbrockObjective(100.0).value((grid.xs[i], grid.ys[j]))
 
     def test_overflowing_values_are_inf_without_a_warning(self):
         with warnings.catch_warnings():
@@ -203,7 +202,7 @@ class TestContourGrid:
             text = grid_csv(grid)
         for i, x in enumerate(grid.xs):
             for j, y in enumerate(grid.ys):
-                assert grid.values[i, j] == rosenbrock_value((x, y), 3.7)
+                assert grid.values[i, j] == RosenbrockObjective(3.7).value((x, y))
         assert np.isfinite(grid.values[0]).all() and (grid.values[1:] == math.inf).all()
         assert text.count(",inf\n") == 6
 

@@ -142,8 +142,9 @@ class TestRuleValidation:
             RandomQuadraticFit(2e-4, 1e-4)
 
     def test_random_quadfit_seed_is_a_nonnegative_integer(self):
-        # numpy refuses these seeds; the rule refuses them at construction.
-        for seed in (-1, 1.5):
+        # numpy refuses the first two seeds; the label of the third,
+        # "seed=True", would not parse back.  The rule refuses all three.
+        for seed in (-1, 1.5, True):
             with pytest.raises(InvalidInputError):
                 RandomQuadraticFit(1e-5, 1e-4, seed=seed)
         assert RandomQuadraticFit(1e-5, 1e-4, seed=np.int64(3)) == RandomQuadraticFit(1e-5, 1e-4, 3)

@@ -12,9 +12,6 @@ from rosenbench import (
     RosenbrockObjective,
     finite_diff_gradient,
     finite_diff_hessian,
-    rosenbrock_gradient,
-    rosenbrock_hessian,
-    rosenbrock_value,
 )
 from rosenbench.objectives import as_vector
 
@@ -29,7 +26,7 @@ from rosenbench.objectives import as_vector
     ],
 )
 def test_value_examples(p, kappa, expected):
-    assert rosenbrock_value(p, kappa) == expected
+    assert RosenbrockObjective(kappa).value(p) == expected
 
 
 @pytest.mark.parametrize(
@@ -41,7 +38,7 @@ def test_value_examples(p, kappa, expected):
     ],
 )
 def test_gradient_examples(p, kappa, expected):
-    assert_allclose(rosenbrock_gradient(p, kappa), expected, rtol=0, atol=0)
+    assert_allclose(RosenbrockObjective(kappa).gradient(p), expected, rtol=0, atol=0)
 
 
 @pytest.mark.parametrize(
@@ -53,23 +50,23 @@ def test_gradient_examples(p, kappa, expected):
     ],
 )
 def test_hessian_examples(p, kappa, expected):
-    assert_allclose(rosenbrock_hessian(p, kappa), expected, rtol=0, atol=0)
+    assert_allclose(RosenbrockObjective(kappa).hessian(p), expected, rtol=0, atol=0)
 
 
 @pytest.mark.parametrize("bad", [(math.nan, 0.0), (0.0, math.inf), (1.0, -math.inf)])
 def test_nonfinite_input_rejected(bad):
     with pytest.raises(InvalidInputError):
-        rosenbrock_value(bad, 1.0)
+        RosenbrockObjective(1.0).value(bad)
     with pytest.raises(InvalidInputError):
-        rosenbrock_gradient(bad, 1.0)
+        RosenbrockObjective(1.0).gradient(bad)
     with pytest.raises(InvalidInputError):
-        rosenbrock_hessian(bad, 1.0)
+        RosenbrockObjective(1.0).hessian(bad)
 
 
 @pytest.mark.parametrize("kappa", [1.0, 100.0, 3.7e-5, 2.9e11])
 def test_fused_value_and_gradient_bit_identical(kappa):
-    # The drivers evaluate the valley only through the fused method, so it
-    # must agree with value and gradient to the last bit.
+    # The drivers evaluate the valley only through the fused method, and
+    # value and gradient are views of it, so all three agree to the bit.
     obj = RosenbrockObjective(kappa)
     rng = np.random.default_rng(7)
     points = [(1.0, 1.0), (2.0, 2.0), (-1.2, 1.0), (1e150, -3.0), (0.0, 1e200)]
@@ -81,9 +78,23 @@ def test_fused_value_and_gradient_bit_identical(kappa):
         assert np.array_equal(np.array(g), obj.gradient(p))
 
 
+def test_value_and_gradient_is_the_one_override_point():
+    class Doubled(RosenbrockObjective):
+        def value_and_gradient(self, x):
+            f, (g1, g2) = super().value_and_gradient(x)
+            return 2.0 * f, (2.0 * g1, 2.0 * g2)
+
+    obj = Doubled(100.0)
+    for p in [(2.0, 2.0), (-1.2, 1.0), (5.0, 5.0)]:
+        f, g = obj.value_and_gradient(p)
+        assert f == 2.0 * RosenbrockObjective(100.0).value(p)
+        assert obj.value(p) == f
+        assert np.array_equal(obj.gradient(p), np.array(g))
+
+
 def test_wrong_dimension_rejected():
     with pytest.raises(InvalidInputError):
-        rosenbrock_value((1.0, 2.0, 3.0), 1.0)
+        RosenbrockObjective(1.0).value((1.0, 2.0, 3.0))
     with pytest.raises(InvalidInputError):
         RosenbrockObjective(1.0).gradient([1.0])
 
@@ -210,10 +221,10 @@ class TestInvariants:
     def test_value_nonnegative_zero_only_at_minimum(self):
         rng = np.random.default_rng(0)
         for kappa in (1.0, 100.0):
-            assert rosenbrock_value((1.0, 1.0), kappa) == 0.0
+            assert RosenbrockObjective(kappa).value((1.0, 1.0)) == 0.0
             for _ in range(200):
                 p = rng.uniform(-10.0, 10.0, 2)
-                v = rosenbrock_value(p, kappa)
+                v = RosenbrockObjective(kappa).value(p)
                 assert v >= 0.0
                 if tuple(p) != (1.0, 1.0):
                     assert v > 0.0
@@ -222,7 +233,7 @@ class TestInvariants:
         rng = np.random.default_rng(1)
         for _ in range(50):
             p = rng.uniform(-10.0, 10.0, 2)
-            H = rosenbrock_hessian(p, rng.uniform(0.5, 200.0))
+            H = RosenbrockObjective(rng.uniform(0.5, 200.0)).hessian(p)
             assert H[0, 1] == H[1, 0]
 
     def test_hessian_determinant_closed_form(self):
@@ -230,12 +241,12 @@ class TestInvariants:
         rng = np.random.default_rng(2)
         for _ in range(50):
             p = rng.uniform(-10.0, 10.0, 2)
-            H = rosenbrock_hessian(p, 1.0)
+            H = RosenbrockObjective(1.0).hessian(p)
             det = H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0]
             assert_allclose(det, 8.0 * p[0] * p[0] - 8.0 * p[1] + 4.0, rtol=1e-12, atol=1e-9)
 
     def test_hessian_singular_on_parabola(self):
         # Exactly singular where x2 = x1^2 + 1/2 (representable points).
         for x1 in (0.0, 0.5, 1.0, 1.5, 2.0):
-            H = rosenbrock_hessian((x1, x1 * x1 + 0.5), 1.0)
+            H = RosenbrockObjective(1.0).hessian((x1, x1 * x1 + 0.5))
             assert H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0] == 0.0

@@ -155,6 +155,11 @@ class TestTerminationPolicy:
             {"epsilon": -1.0},
             {"max_iterations": 0},
             {"blowup_norm": 1e-9},  # must exceed epsilon
+            # The cap is met by k == max_iterations, so it must be an integer.
+            {"max_iterations": 2.5},
+            {"max_iterations": math.inf},
+            {"max_iterations": True},
+            {"max_iterations": "3"},
         ],
     )
     def test_invalid(self, kwargs):
