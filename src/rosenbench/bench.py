@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncomparableVariantsError, InvalidInputError
+from .errors import IncomparableVariantsError, InvalidInputError, check_count
 from .linesearch import (
     Fixed,
     GoldenSection,
@@ -25,7 +25,7 @@ from .linesearch import (
     VariableCandidates,
     fmt_real,
 )
-from .objectives import Matrix, RosenbrockObjective
+from .objectives import Matrix, RosenbrockObjective, as_vector
 from .optimize import (
     RunResult,
     RunStatus,
@@ -56,11 +56,26 @@ class ExperimentMatrix:
     fixed_alphas: tuple[float, ...] = DEFAULT_FIXED_ALPHAS
     policy: TerminationPolicy = TerminationPolicy()
 
-    def cells(self) -> list[tuple[str, StepRule | None]]:
-        """Deterministic cell order: SD fixed sweep, SD adaptive rules, Newton, CG fixed sweep."""
+    def __post_init__(self):
+        """Refuse a bad field here, so that `run_matrix` never stops part-way.
+
+        The step rules are built once, here; `cells` hands them out.
+        """
+        for kappa in self.kappas:
+            RosenbrockObjective(kappa)
+        for start in self.starts:
+            as_vector(start, RosenbrockObjective.dim)
+        # A policy of another type would get past construction and fail in the first cell.
+        if not isinstance(self.policy, TerminationPolicy):
+            raise InvalidInputError(f"policy must be a TerminationPolicy, got {self.policy!r}")
         sd: list[tuple[str, StepRule | None]] = [("sd", Fixed(a)) for a in self.fixed_alphas]
         sd += [("sd", VariableCandidates()), ("sd", QuadraticFit()), ("sd", GoldenSection())]
-        return sd + [("newton", None)] + [("cg", Fixed(a)) for a in self.fixed_alphas]
+        cells = sd + [("newton", None)] + [("cg", Fixed(a)) for a in self.fixed_alphas]
+        object.__setattr__(self, "_cells", tuple(cells))
+
+    def cells(self) -> list[tuple[str, StepRule | None]]:
+        """Deterministic cell order: SD fixed sweep, SD adaptive rules, Newton, CG fixed sweep."""
+        return list(self._cells)
 
 
 @dataclass(frozen=True)
@@ -205,8 +220,7 @@ def contour_grid(
 
     Endpoints are included; grid values match scalar evaluation exactly.
     """
-    if resolution < 2:
-        raise InvalidInputError(f"resolution must be >= 2, got {resolution}")
+    check_count("resolution", resolution, 2)
     x_lo, x_hi = float(x_range[0]), float(x_range[1])
     y_lo, y_hi = float(y_range[0]), float(y_range[1])
     if not (x_hi > x_lo and y_hi > y_lo):

@@ -19,7 +19,8 @@ three abscissae per iteration from [min(samples), max(samples)].
 A diverged run is a recorded experimental outcome, not a failure: exit
 status is 0 for any completed computation, 1 for an internal error such as
 an unwritable output path or a grid too large to allocate, and 2 for a
-usage error.
+usage error, such as a step rule, a ``--kappa`` or a policy flag that its
+constructor refuses, or a ``--start`` that is not two finite reals.
 """
 
 from __future__ import annotations
@@ -41,24 +42,16 @@ from .bench import (
     status_label,
     trajectory_csv,
 )
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_count
 from .linesearch import ExactQuadratic, QuadraticFit, RandomQuadraticFit, parse_rule
-from .objectives import RosenbrockObjective, finite_diff_gradient, finite_diff_hessian
+from .objectives import RosenbrockObjective, as_vector, finite_diff_gradient, finite_diff_hessian
 from .optimize import TerminationPolicy
 
 
 def parse_point(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected two comma-separated reals, got {text!r}")
-    return float(parts[0]), float(parts[1])
-
-
-def positive_real(text: str) -> float:
-    v = float(text)
-    if not v > 0.0:
-        raise ValueError(f"must be positive, got {text}")
-    return v
+    """Two comma-separated finite reals; a ValueError is argparse's usage error."""
+    x1, x2 = as_vector([float(part) for part in text.split(",")], 2).tolist()
+    return x1, x2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--step", default=None, metavar="RULE",
                      help="fixed:<a> | variable:<a1,..> | quadfit:<a1,a2,a3> | "
                           "quadfit-random:<lo>,<hi>,seed=<n> | golden:<lo>:<hi>[:tol]")
-    run.add_argument("--kappa", type=positive_real, default=1.0)
+    run.add_argument("--kappa", type=float, default=1.0)
     run.add_argument("--start", type=parse_point, default=(2.0, 2.0), metavar="X1,X2")
     run.add_argument("--restart", type=int, default=None, metavar="N",
                      help="conjugate-gradient restart period (cg only)")
@@ -89,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     _policy_flags(bench)
 
     contour = sub.add_parser("contour", help="emit objective values on a grid")
-    contour.add_argument("--kappa", type=positive_real, default=1.0)
+    contour.add_argument("--kappa", type=float, default=1.0)
     contour.add_argument("--xmin", type=float, default=-2.0)
     contour.add_argument("--xmax", type=float, default=6.0)
     contour.add_argument("--ymin", type=float, default=-2.0)
@@ -98,16 +91,16 @@ def build_parser() -> argparse.ArgumentParser:
     contour.add_argument("--out", default=None, metavar="PATH")
 
     checkgrad = sub.add_parser("checkgrad", help="compare analytic and finite-difference derivatives")
-    checkgrad.add_argument("--kappa", type=positive_real, default=1.0)
+    checkgrad.add_argument("--kappa", type=float, default=1.0)
 
     return parser
 
 
 def _policy_flags(p: argparse.ArgumentParser):
-    p.add_argument("--eps", type=positive_real, default=1e-3,
+    p.add_argument("--eps", type=float, default=1e-3,
                    help="gradient-norm stopping tolerance")
     p.add_argument("--max-iter", type=int, default=10_000_000)
-    p.add_argument("--blowup", type=positive_real, default=1e8,
+    p.add_argument("--blowup", type=float, default=1e8,
                    help="iterate-norm divergence threshold")
 
 
@@ -115,16 +108,16 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse and cross-validate argv (argparse exits with status 2 on errors)."""
     parser = build_parser()
     config = parser.parse_args(argv)
-    if config.subcommand == "run":
-        if config.method in ("sd", "cg") and config.step is None:
-            parser.error(f"--step is required with --method {config.method}")
-        if config.method == "newton" and config.step is not None:
-            parser.error("--step does not apply to --method newton")
-        if config.restart is not None and config.method != "cg":
-            parser.error("--restart applies only to --method cg")
-        if config.restart is not None and config.restart < 1:
-            parser.error(f"--restart must be >= 1, got {config.restart}")
-        try:
+    try:
+        if config.subcommand == "run":
+            if config.method in ("sd", "cg") and config.step is None:
+                parser.error(f"--step is required with --method {config.method}")
+            if config.method == "newton" and config.step is not None:
+                parser.error("--step does not apply to --method newton")
+            if config.restart is not None:
+                if config.method != "cg":
+                    parser.error("--restart applies only to --method cg")
+                check_count("--restart", config.restart, 1)
             if config.step is not None:
                 config.step = parse_rule(config.step)
             if config.seed is not None:
@@ -132,15 +125,14 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
                     parser.error("--seed applies only to a quadfit step rule")
                 samples = config.step.sample_alphas
                 config.step = RandomQuadraticFit(min(samples), max(samples), config.seed)
-        except InvalidInputError as exc:
-            parser.error(str(exc))
-        if isinstance(config.step, ExactQuadratic):
-            parser.error("the exact-quadratic rule needs a quadratic objective, not the valley")
-    if config.subcommand in ("run", "bench"):
-        try:
+            if isinstance(config.step, ExactQuadratic):
+                parser.error("the exact-quadratic rule needs a quadratic objective, not the valley")
+        if config.subcommand != "bench":
+            config.objective = RosenbrockObjective(config.kappa)
+        if config.subcommand in ("run", "bench"):
             config.policy = TerminationPolicy(config.eps, config.max_iter, config.blowup)
-        except InvalidInputError as exc:
-            parser.error(str(exc))
+    except InvalidInputError as exc:
+        parser.error(str(exc))
     return config
 
 
@@ -153,7 +145,7 @@ def _write_text(path: str | None, text: str):
 
 
 def _cmd_run(config) -> int:
-    result = run_method(config.method, RosenbrockObjective(config.kappa), config.start,
+    result = run_method(config.method, config.objective, config.start,
                         config.step, config.policy, config.restart,
                         record_trajectory=config.traj is not None)
     point = ",".join(fmt_real(c) for c in result.final_point)
@@ -190,7 +182,7 @@ def _probe_grid() -> list[np.ndarray]:
 
 
 def _cmd_checkgrad(config) -> int:
-    objective = RosenbrockObjective(config.kappa)
+    objective = config.objective
     grad_err = 0.0
     hess_err = 0.0
     # An undefined comparison such as inf - inf is nan, which np.maximum keeps.

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDirectionError, InvalidInputError, LineSearchFailedError
+from .errors import (InvalidDirectionError, InvalidInputError, LineSearchFailedError,
+                     check_count, check_real)
 from .objectives import Objective, QuadraticObjective, as_vector
 
 # Golden ratio conjugate: bracket width shrinks by this factor per probe.
@@ -57,8 +58,7 @@ class Fixed:
     alpha: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise InvalidInputError(f"fixed step must be positive, got {self.alpha}")
+        check_real("fixed step", self.alpha)
 
     def label(self) -> str:
         return f"fixed:{fmt_real(self.alpha)}"
@@ -74,12 +74,10 @@ class VariableCandidates:
     alphas: tuple[float, ...] = DEFAULT_VARIABLE_ALPHAS
 
     def __post_init__(self):
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        if len(self.alphas) == 0:
+        alphas = tuple(check_real("candidate steps", a) for a in self.alphas)
+        if not alphas:
             raise InvalidInputError("candidate list must be nonempty")
-        for a in self.alphas:
-            if not (math.isfinite(a) and a > 0.0):
-                raise InvalidInputError(f"candidate steps must be positive, got {a}")
+        object.__setattr__(self, "alphas", alphas)
 
     def label(self) -> str:
         return "variable:" + ",".join(map(fmt_real, self.alphas))
@@ -125,15 +123,12 @@ class QuadraticFit:
     vandermonde: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        samples = tuple(float(a) for a in self.sample_alphas)
-        object.__setattr__(self, "sample_alphas", samples)
+        samples = tuple(check_real("sample abscissae", a, closed=True) for a in self.sample_alphas)
         if len(samples) != 3:
             raise InvalidInputError(f"exactly three sample abscissae required, got {len(samples)}")
         if len(set(samples)) != 3:
             raise InvalidInputError(f"sample abscissae must be pairwise distinct: {samples}")
-        for a in samples:
-            if not (math.isfinite(a) and a >= 0.0):
-                raise InvalidInputError(f"sample abscissae must be finite and >= 0, got {a}")
+        object.__setattr__(self, "sample_alphas", samples)
         object.__setattr__(self, "vandermonde", np.array([[a * a, a, 1.0] for a in samples]))
 
     def label(self) -> str:
@@ -171,16 +166,13 @@ class RandomQuadraticFit:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and 0.0 < self.lo < self.hi):
-            raise InvalidInputError(f"need 0 < lo < hi, got ({self.lo}, {self.hi})")
+        lo = check_real("lo", self.lo)
+        hi = check_real("hi", self.hi, lo)
         # draw() retries until three abscissae differ, so [lo, hi] must hold
         # floats besides lo and hi.
-        if math.nextafter(math.nextafter(self.lo, math.inf), math.inf) >= self.hi:
-            raise InvalidInputError(f"[{self.lo}, {self.hi}] holds too few floats for three samples")
-        # bool is an int, but a label "seed=True" would not parse back.
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
+        if math.nextafter(math.nextafter(lo, math.inf), math.inf) >= hi:
+            raise InvalidInputError(f"[{lo}, {hi}] holds too few floats for three samples")
+        check_count("seed", self.seed, 0)
 
     def label(self) -> str:
         return f"quadfit-random:{fmt_real(self.lo)},{fmt_real(self.hi)},seed={self.seed}"
@@ -208,15 +200,12 @@ class GoldenSection:
     width_tol: float = DEFAULT_GOLDEN_WIDTH_TOL
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and self.lo >= 0.0):
-            raise InvalidInputError(f"interval start must be finite and >= 0, got {self.lo}")
-        if not (math.isfinite(self.width_tol) and self.width_tol > 0.0):
-            raise InvalidInputError(f"width tolerance must be positive, got {self.width_tol}")
-        if not (math.isfinite(self.hi) and self.hi - self.lo > self.width_tol):
-            raise InvalidInputError(
-                f"need hi - lo > width_tol, got interval ({self.lo}, {self.hi}) "
-                f"with tolerance {self.width_tol}"
-            )
+        lo = check_real("interval start", self.lo, closed=True)
+        hi = check_real("interval end", self.hi, closed=True)
+        width_tol = check_real("width tolerance", self.width_tol)
+        if not hi - lo > width_tol:
+            raise InvalidInputError(f"need hi - lo > width_tol, got interval ({lo}, {hi}) "
+                                    f"with tolerance {width_tol}")
 
     def label(self) -> str:
         return f"golden:{fmt_real(self.lo)}:{fmt_real(self.hi)}:{fmt_real(self.width_tol)}"
@@ -289,11 +278,10 @@ def parse_rule(text: str) -> StepRule:
     try:
         if kind == "fixed":
             return Fixed(float(spec))
-        # Both constructors convert each text to a float.
         if kind == "variable":
-            return VariableCandidates(spec.split(","))
+            return VariableCandidates(tuple(map(float, spec.split(","))))
         if kind == "quadfit":
-            return QuadraticFit(spec.split(","))
+            return QuadraticFit(tuple(map(float, spec.split(","))))
         if kind == "quadfit-random":
             lo, hi, seed = spec.split(",")
             if not seed.startswith("seed="):

@@ -19,7 +19,7 @@ from typing import Protocol
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_real
 
 Vector = NDArray[np.float64]
 Matrix = NDArray[np.float64]
@@ -57,7 +57,14 @@ def as_vector(x, dim: int | None = None) -> Vector:
     Raises InvalidInputError on non-finite entries, empty input, or a
     dimension mismatch with `dim`.
     """
-    v = np.asarray(x, dtype=np.float64)
+    try:
+        v = np.asarray(x)
+    except ValueError as exc:  # a ragged nesting of sequences
+        raise InvalidInputError(f"expected a vector of reals: {exc}") from None
+    if v.dtype != np.float64:  # the drivers' float64 iterates skip the kind check
+        if v.dtype.kind not in "iuf":
+            raise InvalidInputError(f"expected a vector of reals, got {x!r}")
+        v = v.astype(np.float64)
     if v.ndim != 1 or v.size == 0:
         raise InvalidInputError(f"expected a nonempty 1-d vector, got shape {v.shape}")
     if dim is not None and v.size != dim:
@@ -84,9 +91,7 @@ class RosenbrockObjective:
     dim = 2
 
     def __init__(self, kappa: float = 1.0):
-        self.kappa = float(kappa)
-        if not (math.isfinite(self.kappa) and self.kappa > 0.0):
-            raise InvalidInputError(f"kappa must be a positive finite real, got {self.kappa}")
+        self.kappa = check_real("kappa", kappa)
 
     def __repr__(self) -> str:
         return f"RosenbrockObjective(kappa={self.kappa!r})"
@@ -165,8 +170,7 @@ class QuadraticObjective:
 
 def finite_diff_gradient(f: Objective, p, h: float = DEFAULT_GRADIENT_STEP) -> Vector:
     """Central-difference gradient oracle: (f(p + h e_i) - f(p - h e_i)) / (2h)."""
-    if not h > 0.0:
-        raise InvalidInputError(f"finite-difference step must be positive, got {h}")
+    h = check_real("finite-difference step", h)
     x = as_vector(p)
     g = np.empty(x.size)
     for i in range(x.size):
@@ -178,8 +182,7 @@ def finite_diff_gradient(f: Objective, p, h: float = DEFAULT_GRADIENT_STEP) -> V
 
 def finite_diff_hessian(f: Objective, p, h: float = DEFAULT_HESSIAN_STEP) -> Matrix:
     """Central second-difference Hessian oracle, symmetrized with its transpose."""
-    if not h > 0.0:
-        raise InvalidInputError(f"finite-difference step must be positive, got {h}")
+    h = check_real("finite-difference step", h)
     x = as_vector(p)
     n = x.size
     H = np.empty((n, n))

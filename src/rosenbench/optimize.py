@@ -22,7 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidDirectionError, InvalidInputError, LineSearchFailedError
+from .errors import (InvalidDirectionError, InvalidInputError, LineSearchFailedError,
+                     check_count, check_real)
 from .linesearch import (
     ExactQuadratic,
     Fixed,
@@ -53,16 +54,12 @@ class TerminationPolicy:
     blowup_norm: float = 1e8
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise InvalidInputError(f"epsilon must be positive, got {self.epsilon}")
+        epsilon = check_real("epsilon", self.epsilon)
         # The cap fires on k == max_iterations, which a non-integer never meets.
-        cap = self.max_iterations
-        if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
-            raise InvalidInputError(f"max_iterations must be an integer >= 1, got {cap!r}")
-        if not self.blowup_norm > self.epsilon:
-            raise InvalidInputError(
-                f"blowup_norm must exceed epsilon, got {self.blowup_norm} <= {self.epsilon}"
-            )
+        check_count("max_iterations", self.max_iterations, 1)
+        blowup = check_real("blowup_norm", self.blowup_norm, inf_ok=True)
+        if not blowup > epsilon:
+            raise InvalidInputError(f"blowup_norm must exceed epsilon, got {blowup} <= {epsilon}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,8 +272,8 @@ def fletcher_reeves_cg(
     with fixed steps an ascent direction is followed and may blow up, which
     is a legitimate experimental outcome.
     """
-    if restart_period is not None and restart_period < 1:
-        raise InvalidInputError(f"restart_period must be >= 1, got {restart_period}")
+    if restart_period is not None:
+        check_count("restart_period", restart_period, 1)
     return _descent_loop(objective, x0, rule, policy, record_trajectory, restart_period)
 
 

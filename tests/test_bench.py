@@ -76,6 +76,16 @@ class TestRunMatrix:
         assert m.fixed_alphas == (0.124, 0.0124, 0.00124, 0.000124)
         assert m.policy.epsilon == 1e-3
 
+    @pytest.mark.parametrize("field, value", [
+        ("kappas", (1.0, -1.0)),
+        ("starts", ((2.0, 2.0), (math.inf, 1.0))),
+        ("fixed_alphas", (0.1, -1.0)),
+    ])
+    def test_bad_field_refused_at_construction(self, field, value):
+        # Not part-way through run_matrix, after the first cells have run.
+        with pytest.raises(InvalidInputError):
+            ExperimentMatrix(**{field: value})
+
     def test_rows_reproducible_modulo_wall_clock(self):
         a = results_csv(run_matrix(SMALL))
         b = results_csv(run_matrix(SMALL))

@@ -70,6 +70,10 @@ class TestParsing:
             ["run", "--method", "sd", "--step", "exact-quadratic"],
             ["run", "--method", "sd", "--step", "fixed:0.1", "--seed", "1"],
             ["run", "--method", "sd", "--step", "fixed:0.1", "--kappa", "-2"],
+            ["run", "--method", "sd", "--step", "fixed:0.1", "--kappa", "inf"],
+            ["checkgrad", "--kappa", "inf"],
+            ["run", "--method", "sd", "--step", "fixed:0.1", "--start", "inf,1"],
+            ["run", "--method", "sd", "--step", "fixed:0.1", "--start", "nan,1"],
             ["bench", "--eps", "0"],
             ["frobnicate"],
             ["run", "--unknown-flag"],

@@ -301,7 +301,7 @@ class TestGoldenSection:
             for fn in (lambda t, c=c: (t - c) ** 2, lambda t, c=c: (t - c) ** 4 + 0.5 * abs(t - c)):
                 line = scalar_line(fn)
                 got = GoldenSection(0.0, 2.0, tol).select(line)
-                oracle = grid[np.argmin([fn(t) for t in grid])]
+                oracle = grid[np.argmin(fn(grid))]
                 assert abs(got - oracle) <= 1.1 * tol
 
     def test_nonfinite_raises(self):

@@ -253,6 +253,8 @@ class TestSteepestDescent:
         with pytest.raises(InvalidInputError):
             steepest_descent(RosenbrockObjective(1.0), (1.0, 2.0, 3.0), Fixed(0.1))
         with pytest.raises(InvalidInputError):
+            steepest_descent(RosenbrockObjective(1.0), ((1.0, 2.0), (3.0,)), Fixed(0.1))
+        with pytest.raises(InvalidInputError):
             newton_raphson(QuadraticObjective(np.eye(3), np.zeros(3)), (1.0, 2.0))
 
     def test_nonfinite_start_rejected(self):

@@ -8,10 +8,12 @@ without a warning and with the same bits on a repeat run -- and report
 `converged` exactly when its final gradient norm is at most epsilon.  The
 same holds on quadratics 0.5 x'Qx - x'b of dimension up to 6, whose SPD Q
 is drawn from a seeded spectrum and whose start and b span magnitudes down
-to the subnormals.  Every rule's label parses back to the rule, and every
-argv drawn from the command-line flags exits 0, 1 or 2 without a traceback
-or a warning.  Iteration caps stay small so the suite stays fast; the
-examples are derandomized so it is repeatable.
+to the subnormals.  Every scalar argument that validation refuses (text, a
+bool, None, a complex number, nan, an infinity or a value out of range)
+raises InvalidInputError and nothing else.  Every rule's label parses back
+to the rule, and every argv drawn from the command-line flags exits 0, 1 or
+2 without a traceback or a warning.  Iteration caps stay small so the suite
+stays fast; the examples are derandomized so it is repeatable.
 """
 
 import contextlib
@@ -20,11 +22,13 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from rosenbench import (
     ExactQuadratic,
+    ExperimentMatrix,
     Fixed,
     GoldenSection,
     InvalidInputError,
@@ -35,6 +39,9 @@ from rosenbench import (
     RunStatus,
     TerminationPolicy,
     VariableCandidates,
+    contour_grid,
+    finite_diff_gradient,
+    finite_diff_hessian,
     fletcher_reeves_cg,
     newton_raphson,
     steepest_descent,
@@ -183,6 +190,75 @@ def test_newton_quadratic_run_completes_repeats_and_reports_its_status(problem, 
 @given(st.one_of(step_rules(), st.just(ExactQuadratic())))
 def test_label_parses_back_to_the_rule(rule):
     assert parse_rule(rule.label()) == rule
+
+
+def bad_reals(out_of_range, inf_ok=False):
+    """What a real parameter refuses: text, bools, None, complex numbers, nan,
+    the infinities (but +inf where `inf_ok`) and its `out_of_range` reals."""
+    infinities = (-math.inf,) if inf_ok else (-math.inf, math.inf)
+    return st.one_of(st.text(max_size=8), st.booleans(), st.none(), st.complex_numbers(),
+                     st.sampled_from((math.nan,) + infinities), out_of_range)
+
+
+def bad_counts(low, none_ok=False):
+    """What an integer parameter of at least `low` refuses; None too unless `none_ok`."""
+    bad = st.one_of(st.text(max_size=8), st.booleans(), st.complex_numbers(), st.floats(),
+                    st.integers(max_value=low - 1))
+    return bad if none_ok else st.one_of(bad, st.none())
+
+
+# (v, v) is a point of non-reals: numpy would read (True, 2.0) as a float pair.
+bad_points = bad_reals(st.nothing()).map(lambda v: (v, v))
+not_positive = st.floats(max_value=0.0)
+negative = st.floats(max_value=-5e-324)
+valley = RosenbrockObjective()
+REFUSALS = {
+    "Fixed.alpha": (Fixed, bad_reals(not_positive)),
+    "VariableCandidates.alphas": (lambda v: VariableCandidates((0.1, v)), bad_reals(not_positive)),
+    "QuadraticFit.sample_alphas": (lambda v: QuadraticFit((1e-5, 6.7e-5, v)), bad_reals(negative)),
+    "RandomQuadraticFit.lo": (lambda v: RandomQuadraticFit(lo=v), bad_reals(not_positive)),
+    "RandomQuadraticFit.hi": (lambda v: RandomQuadraticFit(hi=v),
+                              bad_reals(st.floats(max_value=1e-5))),
+    "RandomQuadraticFit.seed": (lambda v: RandomQuadraticFit(seed=v), bad_counts(0)),
+    "GoldenSection.lo": (lambda v: GoldenSection(lo=v), bad_reals(negative)),
+    "GoldenSection.hi": (lambda v: GoldenSection(hi=v), bad_reals(st.floats(max_value=1.24e-6))),
+    "GoldenSection.width_tol": (lambda v: GoldenSection(width_tol=v), bad_reals(not_positive)),
+    "TerminationPolicy.epsilon": (lambda v: TerminationPolicy(epsilon=v),
+                                  bad_reals(not_positive)),
+    "TerminationPolicy.max_iterations": (lambda v: TerminationPolicy(max_iterations=v),
+                                         bad_counts(1)),
+    "TerminationPolicy.blowup_norm": (lambda v: TerminationPolicy(blowup_norm=v),
+                                      bad_reals(st.floats(max_value=1e-3), inf_ok=True)),
+    "RosenbrockObjective.kappa": (RosenbrockObjective, bad_reals(not_positive)),
+    "ExperimentMatrix.kappas": (lambda v: ExperimentMatrix(kappas=(1.0, v)),
+                                bad_reals(not_positive)),
+    "ExperimentMatrix.starts": (lambda v: ExperimentMatrix(starts=((2.0, 2.0), v)), bad_points),
+    "ExperimentMatrix.fixed_alphas": (lambda v: ExperimentMatrix(fixed_alphas=(0.1, v)),
+                                      bad_reals(not_positive)),
+    "ExperimentMatrix.policy": (lambda v: ExperimentMatrix(policy=v), bad_reals(st.floats())),
+    "contour_grid.resolution": (lambda v: contour_grid(1.0, resolution=v), bad_counts(2)),
+    "fletcher_reeves_cg.restart_period": (
+        lambda v: fletcher_reeves_cg(valley, (2.0, 2.0), Fixed(0.1), restart_period=v),
+        bad_counts(1, none_ok=True)),
+    "finite_diff_gradient.h": (lambda v: finite_diff_gradient(valley, (2.0, 2.0), v),
+                               bad_reals(not_positive)),
+    "finite_diff_hessian.h": (lambda v: finite_diff_hessian(valley, (2.0, 2.0), v),
+                              bad_reals(not_positive)),
+    "steepest_descent.x0": (lambda v: steepest_descent(valley, v, Fixed(0.1)), bad_points),
+    "fletcher_reeves_cg.x0": (lambda v: fletcher_reeves_cg(valley, v, Fixed(0.1)), bad_points),
+    "newton_raphson.x0": (lambda v: newton_raphson(valley, v), bad_points),
+}
+
+
+@pytest.mark.parametrize("call, values", REFUSALS.values(), ids=REFUSALS.keys())
+@settings(SETTINGS, max_examples=40)
+@given(st.data())
+def test_refused_argument_raises_invalid_input_error_only(call, values, data):
+    value = data.draw(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError):
+            call(value)
 
 
 def mostly(common, odd):
