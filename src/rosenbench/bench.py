@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncomparableVariantsError, InvalidInputError, check_count
+from .errors import IncomparableVariantsError, InvalidInputError, check_count, check_tuple
 from .linesearch import (
     Fixed,
     GoldenSection,
@@ -25,7 +25,7 @@ from .linesearch import (
     VariableCandidates,
     fmt_real,
 )
-from .objectives import Matrix, RosenbrockObjective, as_vector
+from .objectives import Matrix, RosenbrockObjective, as_vector, valley_value
 from .optimize import (
     RunResult,
     RunStatus,
@@ -59,8 +59,11 @@ class ExperimentMatrix:
     def __post_init__(self):
         """Refuse a bad field here, so that `run_matrix` never stops part-way.
 
-        The step rules are built once, here; `cells` hands them out.
+        The tuple fields are stored as tuples.  The step rules are built
+        once, here; `cells` hands them out.
         """
+        for name in ("kappas", "starts", "fixed_alphas"):
+            object.__setattr__(self, name, check_tuple(name, getattr(self, name)))
         for kappa in self.kappas:
             RosenbrockObjective(kappa)
         for start in self.starts:
@@ -231,14 +234,9 @@ def contour_grid(
     xs = np.linspace(x_lo, x_hi, resolution)
     ys = np.linspace(y_lo, y_hi, resolution)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    # f in the operation order of RosenbrockObjective.value_and_gradient, so
-    # entries agree with `value` bitwise; a value that overflows is inf, as
-    # the scalar evaluation gives.  The fused method on arrays would also
-    # build the two gradient grids, which raises the peak memory.
+    # A value that overflows is inf, as the scalar evaluation gives.
     with np.errstate(over="ignore", invalid="ignore"):
-        T = X * X - Y
-        U = X - 1.0
-        values = kappa * T * T + U * U
+        values = valley_value(kappa, X, Y)
     return ContourGrid(kappa=kappa, xs=xs, ys=ys, values=values)
 
 

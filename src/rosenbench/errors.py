@@ -40,3 +40,11 @@ def check_count(name: str, value, low: int) -> int:
     if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low:
         return int(value)
     raise InvalidInputError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_tuple(name: str, value) -> tuple:
+    """`value` as a tuple: any iterable, whose elements the caller checks; else InvalidInputError."""
+    try:
+        return tuple(value)
+    except TypeError:  # not iterable
+        raise InvalidInputError(f"{name} must be a sequence, got {value!r}") from None

@@ -23,13 +23,14 @@ restriction, and its ``label()`` is the text that `parse_rule` reads back.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (InvalidDirectionError, InvalidInputError, LineSearchFailedError,
-                     check_count, check_real)
-from .objectives import Objective, QuadraticObjective, as_vector
+                     check_count, check_real, check_tuple)
+from .objectives import Objective, QuadraticObjective, as_vector, real_array
 
 # Golden ratio conjugate: bracket width shrinks by this factor per probe.
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -40,6 +41,9 @@ DEFAULT_QUADFIT_SAMPLES = (1e-5, 6.7e-5, 1.24e-4)
 DEFAULT_GOLDEN_LO = 1.24e-6
 DEFAULT_GOLDEN_HI = 1.5
 DEFAULT_GOLDEN_WIDTH_TOL = 1e-8
+
+#: A restriction phi(a) = f(x + a*d): a LineRestriction or a fused objective's ``line``.
+Line = Callable[[float], float]
 
 # A fitted quadratic coefficient at or below this is treated as degenerate
 # (flat or concave fit) and triggers the fallback step.
@@ -63,7 +67,7 @@ class Fixed:
     def label(self) -> str:
         return f"fixed:{fmt_real(self.alpha)}"
 
-    def select(self, line: LineRestriction, rng=None) -> float:
+    def select(self, line: Line, rng=None) -> float:
         return self.alpha
 
 
@@ -74,7 +78,8 @@ class VariableCandidates:
     alphas: tuple[float, ...] = DEFAULT_VARIABLE_ALPHAS
 
     def __post_init__(self):
-        alphas = tuple(check_real("candidate steps", a) for a in self.alphas)
+        alphas = tuple(check_real("candidate steps", a)
+                       for a in check_tuple("candidate steps", self.alphas))
         if not alphas:
             raise InvalidInputError("candidate list must be nonempty")
         object.__setattr__(self, "alphas", alphas)
@@ -82,7 +87,7 @@ class VariableCandidates:
     def label(self) -> str:
         return "variable:" + ",".join(map(fmt_real, self.alphas))
 
-    def select(self, line: LineRestriction, rng=None) -> float:
+    def select(self, line: Line, rng=None) -> float:
         """Candidate with smallest phi; ties broken toward the smallest step."""
         best = None
         for a in self.alphas:
@@ -123,7 +128,8 @@ class QuadraticFit:
     vandermonde: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        samples = tuple(check_real("sample abscissae", a, closed=True) for a in self.sample_alphas)
+        samples = tuple(check_real("sample abscissae", a, closed=True)
+                        for a in check_tuple("sample abscissae", self.sample_alphas))
         if len(samples) != 3:
             raise InvalidInputError(f"exactly three sample abscissae required, got {len(samples)}")
         if len(set(samples)) != 3:
@@ -134,7 +140,7 @@ class QuadraticFit:
     def label(self) -> str:
         return "quadfit:" + ",".join(map(fmt_real, self.sample_alphas))
 
-    def select(self, line: LineRestriction, rng=None) -> float:
+    def select(self, line: Line, rng=None) -> float:
         """Vertex of the parabola through (a_i, phi(a_i)), i = 1..3.
 
         Solves the 3x3 interpolation system for the coefficients (a, b, c)
@@ -184,7 +190,7 @@ class RandomQuadraticFit:
             if s[0] != s[1] and s[1] != s[2] and s[0] != s[2]:
                 return QuadraticFit(tuple(s))
 
-    def select(self, line: LineRestriction, rng: np.random.Generator | None = None) -> float:
+    def select(self, line: Line, rng: np.random.Generator | None = None) -> float:
         """The quadratic-fit step on abscissae drawn from `rng`, or a new one seeded `seed`."""
         if rng is None:
             rng = np.random.default_rng(self.seed)
@@ -210,7 +216,7 @@ class GoldenSection:
     def label(self) -> str:
         return f"golden:{fmt_real(self.lo)}:{fmt_real(self.hi)}:{fmt_real(self.width_tol)}"
 
-    def select(self, line: LineRestriction, rng=None) -> float:
+    def select(self, line: Line, rng=None) -> float:
         """Golden-ratio bracket shrinking; returns the final bracket midpoint.
 
         Each shrink step costs one new phi evaluation and multiplies the
@@ -253,9 +259,9 @@ class ExactQuadratic:
     def label(self) -> str:
         return "exact-quadratic"
 
-    def select(self, line: LineRestriction, rng=None) -> float:
+    def select(self, line: Line, rng=None) -> float:
         """Exact minimizer -(g'd)/(d'Qd) of phi for a quadratic objective."""
-        objective = line.objective
+        objective = getattr(line, "objective", None)  # a fused objective's phi has none
         if not isinstance(objective, QuadraticObjective):
             raise InvalidInputError("exact line minimization requires a QuadraticObjective")
         d = line.d
@@ -310,8 +316,8 @@ class LineRestriction:
     A probe fails when its point is not finite, its value is not finite, or
     the objective raises OverflowError or InvalidInputError there; a failed
     probe reads +inf, so selectors treat it as an ordinary non-finite value.
-    The drivers build one restriction per run and rebind `x` and `d` before
-    each selector call; `restrict` builds a validated one.
+    The drivers build one per adaptive step of an objective that is not
+    fused; `restrict` builds a validated one.
     """
 
     def __init__(self, objective: Objective, x, d):
@@ -331,35 +337,16 @@ class LineRestriction:
         return y if math.isfinite(y) else math.inf
 
 
-class PairRestriction(LineRestriction):
-    """A restriction of an objective with a fused two-dimensional kernel.
-
-    `x` and `d` are pairs of Python floats and each probe is one call of
-    ``value_and_gradient``; phi agrees bit for bit with LineRestriction.
-    """
-
-    def __call__(self, alpha: float) -> float:
-        x1, x2 = self.x
-        d1, d2 = self.d
-        p1 = x1 + alpha * d1
-        p2 = x2 + alpha * d2
-        if not (math.isfinite(p1) and math.isfinite(p2)):
-            return math.inf
-        try:
-            y = self.objective.value_and_gradient((p1, p2))[0]
-        except (InvalidInputError, OverflowError):
-            return math.inf
-        return y if math.isfinite(y) else math.inf
-
-
-def restrict(objective: Objective, x, d) -> LineRestriction:
+def restrict(objective: Objective, x, d) -> Line:
     """Build the restriction phi(a) = f(x + a*d); phi(0) equals f(x).
 
-    Raises InvalidInputError for a point of the wrong dimension and
-    InvalidDirectionError for a zero or non-finite direction.
+    A fused objective (see Objective) gives the plain callable of its
+    ``line``; any other a LineRestriction.  Raises InvalidInputError for a
+    point of the wrong dimension or a point or direction that is not made
+    of reals, and InvalidDirectionError for a zero or non-finite direction.
     """
     x = as_vector(x, getattr(objective, "dim", None))
-    d = np.asarray(d, dtype=np.float64)
+    d = real_array(d)
     if d.shape != x.shape:
         raise InvalidInputError(f"direction shape {d.shape} does not match point shape {x.shape}")
     if not np.isfinite(d).all():
@@ -367,11 +354,11 @@ def restrict(objective: Objective, x, d) -> LineRestriction:
     if not np.any(d != 0.0):
         raise InvalidDirectionError("direction must be nonzero")
     if hasattr(objective, "value_and_gradient"):
-        return PairRestriction(objective, tuple(x.tolist()), tuple(d.tolist()))
+        return objective.line(tuple(x.tolist()), tuple(d.tolist()))
     return LineRestriction(objective, x, d)
 
 
-def select_step(line: LineRestriction, rule: StepRule,
+def select_step(line: Line, rule: StepRule,
                 rng: np.random.Generator | None = None) -> float:
     """The step `rule` selects on `line`; `rng` feeds RandomQuadraticFit only."""
     return rule.select(line, rng)

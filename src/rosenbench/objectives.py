@@ -14,6 +14,7 @@ serve as an independent check on any analytic derivative.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from typing import Protocol
 
 import numpy as np
@@ -35,13 +36,17 @@ class Objective(Protocol):
 
     ``hessian`` may raise for objectives that do not supply one.
 
-    A two-dimensional objective may also define ``value_and_gradient(x)``:
-    ``x`` is a pair of finite Python floats, already validated, and the
-    result is ``(f, (g1, g2))`` in floats.  The drivers and line
-    restrictions then carry their points as float pairs and call only that
-    method.  On ``RosenbrockObjective``, ``value`` and ``gradient`` check
-    the point and call ``value_and_gradient``, so a subclass overrides that
-    one method (and ``hessian`` for Newton).
+    A two-dimensional objective may also be fused: it defines both
+    ``value_and_gradient(x)`` and ``line(x, d)``.  ``x`` and ``d`` are pairs
+    of finite Python floats, already validated.  ``value_and_gradient``
+    returns ``(f, (g1, g2))`` in floats; ``line`` returns phi(a) = f(x + a*d)
+    as a plain callable that reads +inf wherever f is not finite.  The
+    drivers then carry their points as float pairs, evaluate iterates only
+    through ``value_and_gradient`` and build one phi through ``line`` per
+    adaptive step.  On ``RosenbrockObjective``, ``value`` and ``gradient``
+    check the point and call ``value_and_gradient``, so a subclass that
+    changes f overrides ``value_and_gradient`` and ``line`` (and
+    ``hessian`` for Newton).
     """
 
     def value(self, x: Vector) -> float: ...
@@ -51,20 +56,30 @@ class Objective(Protocol):
     def hessian(self, x: Vector) -> Matrix: ...
 
 
-def as_vector(x, dim: int | None = None) -> Vector:
-    """Validate and convert `x` to a finite float64 vector.
+def real_array(x) -> Vector:
+    """`x` as a float64 array; InvalidInputError unless numpy reads it as reals.
 
-    Raises InvalidInputError on non-finite entries, empty input, or a
-    dimension mismatch with `dim`.
+    Text, bools, complex numbers and None are refused (numpy reads a
+    sequence that mixes a bool with floats as floats).
     """
     try:
         v = np.asarray(x)
     except ValueError as exc:  # a ragged nesting of sequences
-        raise InvalidInputError(f"expected a vector of reals: {exc}") from None
+        raise InvalidInputError(f"expected an array of reals: {exc}") from None
     if v.dtype != np.float64:  # the drivers' float64 iterates skip the kind check
         if v.dtype.kind not in "iuf":
-            raise InvalidInputError(f"expected a vector of reals, got {x!r}")
+            raise InvalidInputError(f"expected an array of reals, got {x!r}")
         v = v.astype(np.float64)
+    return v
+
+
+def as_vector(x, dim: int | None = None) -> Vector:
+    """Validate and convert `x` to a finite float64 vector.
+
+    Raises InvalidInputError on entries that are not finite reals, empty
+    input, or a dimension mismatch with `dim`.
+    """
+    v = real_array(x)
     if v.ndim != 1 or v.size == 0:
         raise InvalidInputError(f"expected a nonempty 1-d vector, got shape {v.shape}")
     if dim is not None and v.size != dim:
@@ -75,14 +90,27 @@ def as_vector(x, dim: int | None = None) -> Vector:
 
 
 def _pair(p) -> tuple[float, float]:
-    """Unpack a 2-vector into finite floats (hot path, no array copies)."""
-    if len(p) != 2:
-        raise InvalidInputError(f"expected a 2-vector, got length {len(p)}")
-    x1 = float(p[0])
-    x2 = float(p[1])
-    if not (math.isfinite(x1) and math.isfinite(x2)):
-        raise InvalidInputError(f"non-finite input point: ({x1}, {x2})")
-    return x1, x2
+    """Unpack a 2-vector of finite reals into floats."""
+    try:
+        x1, x2 = p.tolist() if isinstance(p, np.ndarray) else p
+    except (TypeError, ValueError):  # not iterable, or not of length 2
+        raise InvalidInputError(f"expected a 2-vector, got {p!r}") from None
+    # Finite Python floats, the common case, skip the general check.
+    if type(x1) is float and type(x2) is float and math.isfinite(x1) and math.isfinite(x2):
+        return x1, x2
+    return (check_real("point coordinate", x1, -math.inf),
+            check_real("point coordinate", x2, -math.inf))
+
+
+def valley_value(kappa, x1, x2):
+    """kappa*(x1^2 - x2)^2 + (x1 - 1)^2 at floats or elementwise at arrays.
+
+    The operations are those of RosenbrockObjective.value_and_gradient, in
+    its order, so the two agree to the bit.  An overflow gives inf or nan.
+    """
+    t = x1 * x1 - x2
+    u = x1 - 1.0
+    return kappa * t * t + u * u
 
 
 class RosenbrockObjective:
@@ -112,12 +140,30 @@ class RosenbrockObjective:
         return np.array([[12.0 * k * x1 * x1 - 4.0 * k * x2 + 2.0, off], [off, 2.0 * k]])
 
     def value_and_gradient(self, x) -> tuple[float, tuple[float, float]]:
-        """The one formula for f and grad f, at a validated pair of floats (see Objective)."""
+        """f and grad f at a validated pair of floats (see Objective); f as in valley_value."""
         x1, x2 = x
         k = self.kappa
         t = x1 * x1 - x2
         u = x1 - 1.0
         return k * t * t + u * u, (4.0 * k * x1 * t + 2.0 * u, -2.0 * k * t)
+
+    def line(self, x, d) -> Callable[[float], float]:
+        """phi(a) = f(x + a*d) at validated pairs of floats, +inf where f is not finite.
+
+        A point that is not finite gives an f that is not finite, and float
+        arithmetic does not raise, so phi needs neither a point check nor a
+        try.  f >= 0, so the comparison with inf also maps nan to +inf.
+        """
+        x1, x2 = x
+        d1, d2 = d
+        k = self.kappa
+        inf = math.inf
+
+        def phi(a: float) -> float:
+            y = valley_value(k, x1 + a * d1, x2 + a * d2)
+            return y if y < inf else inf
+
+        return phi
 
 
 class QuadraticObjective:

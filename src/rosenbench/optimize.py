@@ -16,6 +16,7 @@ Runs are deterministic: identical inputs replay identical trajectories.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -28,7 +29,6 @@ from .linesearch import (
     ExactQuadratic,
     Fixed,
     LineRestriction,
-    PairRestriction,
     RandomQuadraticFit,
     StepRule,
 )
@@ -127,13 +127,13 @@ def _descent_loop(
     restarts.  A steepest-descent step is x - alpha*g, which equals
     x + alpha*(-g) to the bit because negation is exact.
 
-    The start is validated once.  An objective with a fused
-    ``value_and_gradient`` then has its iterate carried as a pair of Python
-    floats; any other is evaluated through ``value`` and ``gradient`` at
-    ndarrays.  Points become ndarrays only in the records, the result and
-    Newton's ``hessian`` call.  One restriction serves the whole run: its
-    ``x`` and ``d`` are rebound before each selector call.  A rule that is
-    not a StepRule is refused before the first evaluation.
+    The start is validated once.  A fused objective (see Objective) then
+    has its iterate carried as a pair of Python floats, evaluated through
+    ``value_and_gradient``, and each adaptive step probes the phi of its
+    ``line``; any other is evaluated through ``value`` and ``gradient`` at
+    ndarrays and probed through a LineRestriction.  Points become ndarrays
+    only in the records, the result and Newton's ``hessian`` call.  A rule
+    that is not a StepRule is refused before the first evaluation.
     """
     if rule is not None and not isinstance(rule, StepRule):
         raise InvalidInputError(f"unknown step rule: {rule!r}")
@@ -144,14 +144,14 @@ def _descent_loop(
     if pair:
         x = tuple(x.tolist())
         evaluate = objective.value_and_gradient
-        line = PairRestriction(objective, x, None)
+        along = objective.line
     else:
         value_at, gradient_at = objective.value, objective.gradient
 
         def evaluate(x):
             return value_at(x), gradient_at(x)
 
-        line = LineRestriction(objective, x, None)
+        along = functools.partial(LineRestriction, objective)
     rng = np.random.default_rng(rule.seed) if isinstance(rule, RandomQuadraticFit) else None
     select = None if rule is None else rule.select
     eps = policy.epsilon
@@ -223,13 +223,10 @@ def _descent_loop(
             if fixed_alpha is not None:
                 alpha = fixed_alpha
             else:
-                line.x = x
-                if conjugate:
-                    line.d = d
-                else:
-                    line.d = (-g[0], -g[1]) if pair else -g
+                if not conjugate:
+                    d = (-g[0], -g[1]) if pair else -g
                 try:
-                    alpha = float(select(line, rng))
+                    alpha = float(select(along(x, d), rng))
                 except (LineSearchFailedError, InvalidDirectionError):
                     # No finite step, or no positive curvature along the line.
                     return _finish(trajectory, RunStatus.DIVERGED_NONFINITE, k, x, f, gn, alpha)

@@ -24,7 +24,6 @@ from rosenbench import (
 from rosenbench.linesearch import (
     INV_PHI,
     LineRestriction,
-    PairRestriction,
     parse_rule,
     select_step,
 )
@@ -70,17 +69,18 @@ class TestRestrict:
             restrict(RosenbrockObjective(1.0), (1.0, 2.0, 3.0), (1.0, 0.0, 0.0))
 
     def test_valley_restriction_probes_on_floats(self):
-        # restrict() on the valley probes through the fused kernel; phi
-        # agrees bit for bit with the ndarray restriction through value().
+        # restrict() on the valley gives the phi of its fused `line`, which
+        # agrees bit for bit with the ndarray restriction through value(),
+        # overflowing probes included.
         rng = np.random.default_rng(19)
         for _ in range(50):
             obj = RosenbrockObjective(float(rng.uniform(0.5, 150.0)))
             x, d = rng.uniform(-3.0, 3.0, 2), rng.standard_normal(2)
             line = restrict(obj, x, d)
-            assert isinstance(line, PairRestriction)
             generic = LineRestriction(obj, x, d)
-            for a in 10.0 ** rng.uniform(-6.0, 1.0, 5):
+            for a in [*(10.0 ** rng.uniform(-6.0, 1.0, 5)).tolist(), 1e77, 1e160, 1e308, math.inf]:
                 assert line(a) == generic(a)
+                assert type(line(a)) is float
 
 
 class TestFailedProbes:

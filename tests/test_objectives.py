@@ -7,11 +7,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rosenbench import (
+    GoldenSection,
     InvalidInputError,
     QuadraticObjective,
     RosenbrockObjective,
+    TerminationPolicy,
     finite_diff_gradient,
     finite_diff_hessian,
+    steepest_descent,
 )
 from rosenbench.objectives import as_vector
 
@@ -53,7 +56,8 @@ def test_hessian_examples(p, kappa, expected):
     assert_allclose(RosenbrockObjective(kappa).hessian(p), expected, rtol=0, atol=0)
 
 
-@pytest.mark.parametrize("bad", [(math.nan, 0.0), (0.0, math.inf), (1.0, -math.inf)])
+@pytest.mark.parametrize("bad", [(math.nan, 0.0), (0.0, math.inf), (1.0, -math.inf),
+                                 ("a", "b"), ("1", "2"), (True, 1j), (1.0, None), 2.0])
 def test_nonfinite_input_rejected(bad):
     with pytest.raises(InvalidInputError):
         RosenbrockObjective(1.0).value(bad)
@@ -78,18 +82,43 @@ def test_fused_value_and_gradient_bit_identical(kappa):
         assert np.array_equal(np.array(g), obj.gradient(p))
 
 
-def test_value_and_gradient_is_the_one_override_point():
-    class Doubled(RosenbrockObjective):
+def test_value_and_gradient_and_line_are_the_override_points():
+    # A fused subclass that changes f overrides both methods; value,
+    # gradient and a golden-section run then follow its f.  A tilt moves the
+    # minimizer along every line, so a phi left on the plain valley would
+    # pick other steps than the reference below.
+    class Tilted(RosenbrockObjective):
         def value_and_gradient(self, x):
             f, (g1, g2) = super().value_and_gradient(x)
-            return 2.0 * f, (2.0 * g1, 2.0 * g2)
+            return f + x[0], (g1 + 1.0, g2)
 
-    obj = Doubled(100.0)
+        def line(self, x, d):
+            phi = super().line(x, d)
+            return lambda a: phi(a) + (x[0] + a * d[0])
+
+    class TiltedOnArrays:
+        """The same f through value and gradient only, so runs take the ndarray path."""
+
+        dim = 2
+
+        def value(self, x):
+            return RosenbrockObjective(100.0).value(x) + float(x[0])
+
+        def gradient(self, x):
+            return RosenbrockObjective(100.0).gradient(x) + np.array([1.0, 0.0])
+
+    obj = Tilted(100.0)
     for p in [(2.0, 2.0), (-1.2, 1.0), (5.0, 5.0)]:
         f, g = obj.value_and_gradient(p)
-        assert f == 2.0 * RosenbrockObjective(100.0).value(p)
+        assert f == RosenbrockObjective(100.0).value(p) + p[0]
         assert obj.value(p) == f
         assert np.array_equal(obj.gradient(p), np.array(g))
+    policy = TerminationPolicy(max_iterations=5)
+    runs = [steepest_descent(o, (2.0, 2.0), GoldenSection(), policy)
+            for o in (obj, TiltedOnArrays(), RosenbrockObjective(100.0))]
+    points = [[(r.point.tolist(), r.value, r.alpha_used) for r in run.trajectory] for run in runs]
+    assert len(points[0]) == 6
+    assert points[0] == points[1] != points[2]
 
 
 def test_wrong_dimension_rejected():

@@ -481,6 +481,9 @@ class UnitBowl:
     def value_and_gradient(self, x):
         return 0.5 * (x[0] * x[0] + x[1] * x[1]), (x[0], x[1])
 
+    def line(self, x, d):
+        return lambda a: self.value_and_gradient((x[0] + a * d[0], x[1] + a * d[1]))[0]
+
 
 class TestFletcherReeves:
     def test_beta_is_squared_norm_ratio(self):

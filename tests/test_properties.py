@@ -9,11 +9,14 @@ without a warning and with the same bits on a repeat run -- and report
 same holds on quadratics 0.5 x'Qx - x'b of dimension up to 6, whose SPD Q
 is drawn from a seeded spectrum and whose start and b span magnitudes down
 to the subnormals.  Every scalar argument that validation refuses (text, a
-bool, None, a complex number, nan, an infinity or a value out of range)
-raises InvalidInputError and nothing else.  Every rule's label parses back
-to the rule, and every argv drawn from the command-line flags exits 0, 1 or
-2 without a traceback or a warning.  Iteration caps stay small so the suite
-stays fast; the examples are derandomized so it is repeatable.
+bool, None, a complex number, nan, an infinity or a value out of range),
+every tuple field that is not a sequence and every point of non-reals
+raises InvalidInputError and nothing else.  The valley's phi equals its
+fused f along the line bit for bit, or +inf where that overflows.  Every
+rule's label parses back to the rule, and every argv drawn from the
+command-line flags exits 0, 1 or 2 without a traceback or a warning.
+Iteration caps stay small so the suite stays fast; the examples are
+derandomized so it is repeatable.
 """
 
 import contextlib
@@ -44,6 +47,7 @@ from rosenbench import (
     finite_diff_hessian,
     fletcher_reeves_cg,
     newton_raphson,
+    restrict,
     steepest_descent,
 )
 from rosenbench.cli import main
@@ -209,6 +213,14 @@ def bad_counts(low, none_ok=False):
 
 # (v, v) is a point of non-reals: numpy would read (True, 2.0) as a float pair.
 bad_points = bad_reals(st.nothing()).map(lambda v: (v, v))
+# What a tuple field or a point refuses as a whole.
+non_sequences = st.one_of(st.floats(), st.integers(), st.booleans(), st.none(),
+                          st.complex_numbers())
+# A direction of non-reals; a nan or inf one is an InvalidDirectionError.
+non_real_directions = st.one_of(
+    st.one_of(st.text(max_size=8), st.booleans(), st.none(), st.complex_numbers()).map(
+        lambda v: (v, v)),
+    non_sequences)
 not_positive = st.floats(max_value=0.0)
 negative = st.floats(max_value=-5e-324)
 valley = RosenbrockObjective()
@@ -247,6 +259,18 @@ REFUSALS = {
     "steepest_descent.x0": (lambda v: steepest_descent(valley, v, Fixed(0.1)), bad_points),
     "fletcher_reeves_cg.x0": (lambda v: fletcher_reeves_cg(valley, v, Fixed(0.1)), bad_points),
     "newton_raphson.x0": (lambda v: newton_raphson(valley, v), bad_points),
+    "RosenbrockObjective.value": (valley.value, st.one_of(bad_points, non_sequences)),
+    "RosenbrockObjective.gradient": (valley.gradient, st.one_of(bad_points, non_sequences)),
+    "RosenbrockObjective.hessian": (valley.hessian, st.one_of(bad_points, non_sequences)),
+    "restrict.d": (lambda v: restrict(valley, (2.0, 2.0), v), non_real_directions),
+    "VariableCandidates(non-sequence)": (VariableCandidates, non_sequences),
+    "QuadraticFit(non-sequence)": (QuadraticFit, non_sequences),
+    "ExperimentMatrix(kappas=non-sequence)": (lambda v: ExperimentMatrix(kappas=v),
+                                              non_sequences),
+    "ExperimentMatrix(starts=non-sequence)": (lambda v: ExperimentMatrix(starts=v),
+                                              non_sequences),
+    "ExperimentMatrix(fixed_alphas=non-sequence)": (lambda v: ExperimentMatrix(fixed_alphas=v),
+                                                    non_sequences),
 }
 
 
@@ -259,6 +283,23 @@ def test_refused_argument_raises_invalid_input_error_only(call, values, data):
         warnings.simplefilter("error")
         with pytest.raises(InvalidInputError):
             call(value)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@SETTINGS
+@given(st.floats(min_value=1e-5, max_value=1e11), finite, finite, finite, finite,
+       st.floats(min_value=0.0))
+def test_line_is_f_along_the_line(kappa, x1, x2, d1, d2, a):
+    # phi(a) is value_and_gradient's f at (x1 + a*d1, x2 + a*d2), bit for bit,
+    # where that is finite, and +inf where it is not: the points and steps
+    # span the whole float range, so many of them overflow.
+    obj = RosenbrockObjective(kappa)
+    y = obj.line((x1, x2), (d1, d2))(a)
+    f = obj.value_and_gradient((x1 + a * d1, x2 + a * d2))[0]
+    assert type(y) is float
+    assert y.hex() == (f if math.isfinite(f) else math.inf).hex()
 
 
 def mostly(common, odd):
