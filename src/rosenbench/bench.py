@@ -25,7 +25,7 @@ from .linesearch import (
     VariableCandidates,
     fmt_real,
 )
-from .objectives import Matrix, RosenbrockObjective, as_vector, valley_value
+from .objectives import Matrix, RosenbrockObjective, _pair, as_vector, valley_value
 from .optimize import (
     RunResult,
     RunStatus,
@@ -110,7 +110,11 @@ def run_method(
     restart_period: int | None = None,
     record_trajectory: bool = True,
 ) -> RunResult:
-    """Run the driver named `method`: "sd", "cg" or "newton" (which takes no rule)."""
+    """Run the driver named `method`: "sd", "cg" (which alone restarts) or "newton" (no rule)."""
+    if method == "newton" and rule is not None:
+        raise InvalidInputError(f"method 'newton' takes no step rule, got {rule!r}")
+    if method != "cg" and restart_period is not None:
+        raise InvalidInputError(f"only method 'cg' takes a restart_period, not {method!r}")
     if method == "sd":
         return steepest_descent(objective, x0, rule, policy, record_trajectory)
     if method == "cg":
@@ -224,8 +228,8 @@ def contour_grid(
     Endpoints are included; grid values match scalar evaluation exactly.
     """
     check_count("resolution", resolution, 2)
-    x_lo, x_hi = float(x_range[0]), float(x_range[1])
-    y_lo, y_hi = float(y_range[0]), float(y_range[1])
+    x_lo, x_hi = _pair(x_range)
+    y_lo, y_hi = _pair(y_range)
     if not (x_hi > x_lo and y_hi > y_lo):
         raise InvalidInputError(f"degenerate grid ranges x={x_range}, y={y_range}")
     if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)):

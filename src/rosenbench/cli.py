@@ -13,14 +13,12 @@ that ``bench`` writes reads back as one:
     fixed:<a> | variable:<a1,a2,...> | quadfit:<a1,a2,a3> |
     quadfit-random:<lo>,<hi>,seed=<n> | golden:<lo>:<hi>[:tol]
 
-``--seed N`` switches a quadfit rule to its randomized mode, redrawing the
-three abscissae per iteration from [min(samples), max(samples)].
-
 A diverged run is a recorded experimental outcome, not a failure: exit
-status is 0 for any completed computation, 1 for an internal error such as
-an unwritable output path or a grid too large to allocate, and 2 for a
-usage error, such as a step rule, a ``--kappa`` or a policy flag that its
-constructor refuses, or a ``--start`` that is not two finite reals.
+status is 0 for any completed computation, 2 for any argument the library
+refuses, wherever it is refused (a step rule, a ``--kappa`` or a policy
+flag that its constructor refuses, a ``--start`` that is not two finite
+reals, a ``--step`` that ``--method`` does not take), and 1 for an internal
+error such as an unwritable output path or a grid too large to allocate.
 """
 
 from __future__ import annotations
@@ -42,8 +40,8 @@ from .bench import (
     status_label,
     trajectory_csv,
 )
-from .errors import InvalidInputError, check_count
-from .linesearch import ExactQuadratic, QuadraticFit, RandomQuadraticFit, parse_rule
+from .errors import InvalidInputError
+from .linesearch import parse_rule
 from .objectives import RosenbrockObjective, as_vector, finite_diff_gradient, finite_diff_hessian
 from .optimize import TerminationPolicy
 
@@ -70,8 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--start", type=parse_point, default=(2.0, 2.0), metavar="X1,X2")
     run.add_argument("--restart", type=int, default=None, metavar="N",
                      help="conjugate-gradient restart period (cg only)")
-    run.add_argument("--seed", type=int, default=None,
-                     help="randomized quadfit mode (quadfit step rule only)")
     run.add_argument("--traj", default=None, metavar="PATH",
                      help="write the iterate trajectory CSV here")
     _policy_flags(run)
@@ -105,28 +101,12 @@ def _policy_flags(p: argparse.ArgumentParser):
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse and cross-validate argv (argparse exits with status 2 on errors)."""
+    """Parse argv into a rule, an objective and a policy; argparse exits 2 on an error."""
     parser = build_parser()
     config = parser.parse_args(argv)
     try:
-        if config.subcommand == "run":
-            if config.method in ("sd", "cg") and config.step is None:
-                parser.error(f"--step is required with --method {config.method}")
-            if config.method == "newton" and config.step is not None:
-                parser.error("--step does not apply to --method newton")
-            if config.restart is not None:
-                if config.method != "cg":
-                    parser.error("--restart applies only to --method cg")
-                check_count("--restart", config.restart, 1)
-            if config.step is not None:
-                config.step = parse_rule(config.step)
-            if config.seed is not None:
-                if not isinstance(config.step, QuadraticFit):
-                    parser.error("--seed applies only to a quadfit step rule")
-                samples = config.step.sample_alphas
-                config.step = RandomQuadraticFit(min(samples), max(samples), config.seed)
-            if isinstance(config.step, ExactQuadratic):
-                parser.error("the exact-quadratic rule needs a quadratic objective, not the valley")
+        if config.subcommand == "run" and config.step is not None:
+            config.step = parse_rule(config.step)
         if config.subcommand != "bench":
             config.objective = RosenbrockObjective(config.kappa)
         if config.subcommand in ("run", "bench"):
@@ -200,7 +180,7 @@ def _cmd_checkgrad(config) -> int:
 
 
 def execute(config) -> int:
-    """Dispatch a validated config; returns the process exit status."""
+    """Dispatch a parsed config; returns the exit status, 2 for an argument the library refuses."""
     handlers = {
         "run": _cmd_run,
         "bench": _cmd_bench,
@@ -211,7 +191,7 @@ def execute(config) -> int:
         return handlers[config.subcommand](config)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, InvalidInputError) else 1
 
 
 def main(argv: list[str] | None = None) -> int:

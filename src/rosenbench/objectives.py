@@ -59,13 +59,17 @@ class Objective(Protocol):
 def real_array(x) -> Vector:
     """`x` as a float64 array; InvalidInputError unless numpy reads it as reals.
 
-    Text, bools, complex numbers and None are refused (numpy reads a
-    sequence that mixes a bool with floats as floats).
+    Text, bools, complex numbers and None are refused.
     """
     try:
         v = np.asarray(x)
     except ValueError as exc:  # a ragged nesting of sequences
         raise InvalidInputError(f"expected an array of reals: {exc}") from None
+    # numpy reads a sequence that mixes a bool with floats as floats; an
+    # ndarray, such as the iterate of the quadratic path, is not scanned.
+    if (v.ndim == 1 and not isinstance(x, np.ndarray)
+            and any(isinstance(e, (bool, np.bool_)) for e in x)):
+        raise InvalidInputError(f"expected an array of reals, got {x!r}")
     if v.dtype != np.float64:  # the drivers' float64 iterates skip the kind check
         if v.dtype.kind not in "iuf":
             raise InvalidInputError(f"expected an array of reals, got {x!r}")

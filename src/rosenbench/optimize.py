@@ -132,11 +132,8 @@ def _descent_loop(
     ``value_and_gradient``, and each adaptive step probes the phi of its
     ``line``; any other is evaluated through ``value`` and ``gradient`` at
     ndarrays and probed through a LineRestriction.  Points become ndarrays
-    only in the records, the result and Newton's ``hessian`` call.  A rule
-    that is not a StepRule is refused before the first evaluation.
+    only in the records, the result and Newton's ``hessian`` call.
     """
-    if rule is not None and not isinstance(rule, StepRule):
-        raise InvalidInputError(f"unknown step rule: {rule!r}")
     if isinstance(rule, ExactQuadratic) and not isinstance(objective, QuadraticObjective):
         raise InvalidInputError("the exact-quadratic rule requires a QuadraticObjective")
     x = as_vector(x0, getattr(objective, "dim", None))
@@ -237,6 +234,13 @@ def _descent_loop(
             k += 1
 
 
+def _check_rule(method: str, rule) -> None:
+    """Refuse a `rule` that is not a StepRule, before the run's first evaluation."""
+    if not isinstance(rule, StepRule):
+        why = f"{method} needs a step rule" if rule is None else "unknown step rule"
+        raise InvalidInputError(f"{why}, got {rule!r}")
+
+
 def steepest_descent(
     objective: Objective,
     x0,
@@ -249,6 +253,7 @@ def steepest_descent(
     Iterates x(k+1) = x(k) - alpha(k) * grad f(x(k)), with alpha(k) chosen
     by `rule` on the restriction along -grad f(x(k)).
     """
+    _check_rule("steepest_descent", rule)
     return _descent_loop(objective, x0, rule, policy, record_trajectory)
 
 
@@ -269,6 +274,7 @@ def fletcher_reeves_cg(
     with fixed steps an ascent direction is followed and may blow up, which
     is a legitimate experimental outcome.
     """
+    _check_rule("fletcher_reeves_cg", rule)
     if restart_period is not None:
         check_count("restart_period", restart_period, 1)
     return _descent_loop(objective, x0, rule, policy, record_trajectory, restart_period)

@@ -28,7 +28,7 @@ from rosenbench import (
     steepest_descent,
     trajectory_csv,
 )
-from rosenbench.bench import RESULTS_HEADER, rule_label, run_cell, status_label
+from rosenbench.bench import RESULTS_HEADER, rule_label, run_cell, run_method, status_label
 
 SMALL = ExperimentMatrix(kappas=(1.0,), starts=((2.0, 2.0),), fixed_alphas=(0.0124,))
 
@@ -109,6 +109,19 @@ class TestRunMatrix:
         row = run_cell("newton", None, 1.0, (1.0, 1.0), TerminationPolicy())
         assert row.status == "converged"
         assert row.iterations == 0
+
+
+class TestRunMethod:
+    @pytest.mark.parametrize("method, rule, restart_period", [
+        ("newton", Fixed(0.1), None),
+        ("sd", Fixed(0.1), 3),
+        ("newton", None, 3),
+    ])
+    def test_argument_the_method_does_not_take_is_refused(self, method, rule, restart_period):
+        # Not dropped without a word: the run would not be the one asked for.
+        with pytest.raises(InvalidInputError):
+            run_method(method, RosenbrockObjective(1.0), (2.0, 2.0), rule, TerminationPolicy(),
+                       restart_period=restart_period)
 
 
 class TestStatusLabel:

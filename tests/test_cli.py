@@ -60,7 +60,8 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_point("1,2,3")
 
-    def test_usage_errors_exit_2(self):
+    def test_usage_errors_exit_2(self, capsys):
+        # Refused by argparse, by parse_args or by the library during the run.
         for argv in (
             ["run", "--step", "fixed:-1"],
             ["run", "--method", "sd"],                      # missing --step
@@ -77,10 +78,15 @@ class TestParsing:
             ["bench", "--eps", "0"],
             ["frobnicate"],
             ["run", "--unknown-flag"],
+            ["contour", "--resolution", "1"],
+            ["contour", "--xmin", "5", "--xmax", "1"],
         ):
-            with pytest.raises(SystemExit) as exc:
-                parse_args(argv)
-            assert exc.value.code == 2
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            assert code == 2, argv
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("step, reason", [
         ("fixed:-1", "fixed step must be positive"),
@@ -92,12 +98,6 @@ class TestParsing:
             parse_args(["run", "--step", step])
         assert exc.value.code == 2
         assert reason in capsys.readouterr().err
-
-    def test_seed_switches_quadfit_to_random_mode(self):
-        config = parse_args(
-            ["run", "--method", "sd", "--step", "quadfit:1e-5,6.7e-5,1.24e-4", "--seed", "3"]
-        )
-        assert config.step == RandomQuadraticFit(1e-5, 1.24e-4, seed=3)
 
     def test_bench_defaults(self):
         config = parse_args(["bench", "--out", "results.csv"])
@@ -154,8 +154,8 @@ class TestRunCommand:
         assert first == second
 
     def test_seeded_quadfit_run_is_reproducible(self, capsys):
-        argv = ["run", "--method", "sd", "--step", "quadfit:1e-5,6.7e-5,1.24e-4",
-                "--seed", "7", "--start", "2,2"]
+        argv = ["run", "--method", "sd", "--step", "quadfit-random:1e-5,1.24e-4,seed=7",
+                "--start", "2,2"]
         rc = main(argv)
         first = capsys.readouterr().out
         assert rc == 0
@@ -201,9 +201,9 @@ class TestContourCommand:
         assert rc == 0
         assert out.read_text().splitlines() == ["x,y,f", "0,0,1", "0,1,101", "1,0,100", "1,1,0"]
 
-    def test_bad_resolution_exits_1(self, capsys):
+    def test_bad_resolution_exits_2(self, capsys):
         rc = main(["contour", "--resolution", "1"])
-        assert rc == 1
+        assert rc == 2
         assert "error:" in capsys.readouterr().err
 
     def test_grid_too_large_for_memory_exits_1(self, monkeypatch, capsys):

@@ -186,9 +186,11 @@ class TestSteepestDescent:
 
     def test_unknown_rule_is_refused_before_any_evaluation(self):
         objective = SteepWall(1.0)
-        for driver in (steepest_descent, fletcher_reeves_cg):
-            with pytest.raises(InvalidInputError, match="unknown step rule"):
-                driver(objective, (1.0, 0.0), "fixed:0.5")
+        # None is not Newton-Raphson, which is a driver of its own.
+        for rule, reason in (("fixed:0.5", "unknown step rule"), (None, "needs a step rule")):
+            for driver in (steepest_descent, fletcher_reeves_cg):
+                with pytest.raises(InvalidInputError, match=reason):
+                    driver(objective, (1.0, 0.0), rule)
         assert objective.evaluated == []
 
     def test_first_iterate_hand_computed(self):

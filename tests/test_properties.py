@@ -211,15 +211,16 @@ def bad_counts(low, none_ok=False):
     return bad if none_ok else st.one_of(bad, st.none())
 
 
-# (v, v) is a point of non-reals: numpy would read (True, 2.0) as a float pair.
-bad_points = bad_reals(st.nothing()).map(lambda v: (v, v))
+# A point of non-reals, (v, v), or one non-real beside a float: numpy reads
+# (True, 2.0) as a float pair.
+bad_points = bad_reals(st.nothing()).flatmap(lambda v: st.sampled_from(((v, v), (v, 2.0))))
 # What a tuple field or a point refuses as a whole.
 non_sequences = st.one_of(st.floats(), st.integers(), st.booleans(), st.none(),
                           st.complex_numbers())
 # A direction of non-reals; a nan or inf one is an InvalidDirectionError.
 non_real_directions = st.one_of(
-    st.one_of(st.text(max_size=8), st.booleans(), st.none(), st.complex_numbers()).map(
-        lambda v: (v, v)),
+    st.one_of(st.text(max_size=8), st.booleans(), st.none(), st.complex_numbers()).flatmap(
+        lambda v: st.sampled_from(((v, v), (v, 0.5)))),
     non_sequences)
 not_positive = st.floats(max_value=0.0)
 negative = st.floats(max_value=-5e-324)
@@ -249,6 +250,9 @@ REFUSALS = {
                                       bad_reals(not_positive)),
     "ExperimentMatrix.policy": (lambda v: ExperimentMatrix(policy=v), bad_reals(st.floats())),
     "contour_grid.resolution": (lambda v: contour_grid(1.0, resolution=v), bad_counts(2)),
+    # A range is read like a point: neither "-2" nor True is a number.
+    "contour_grid.x_range": (lambda v: contour_grid(1.0, v, resolution=2),
+                             st.one_of(st.just(("-2", 6.0)), bad_points, non_sequences)),
     "fletcher_reeves_cg.restart_period": (
         lambda v: fletcher_reeves_cg(valley, (2.0, 2.0), Fixed(0.1), restart_period=v),
         bad_counts(1, none_ok=True)),
@@ -343,7 +347,6 @@ def cli_argvs(draw, out_dir):
         argv += flag("kappa", reals) + flag("traj", paths)
         argv += flag("start", st.builds(lambda a, b: f"{a},{b}", reals, reals))
         argv += flag("restart", st.integers(-1, 5), st.booleans() if method == "cg" else rarely)
-        argv += flag("seed", st.integers(-1, 2**32), rarely)
     if command == "bench":
         argv += flag("out", paths)
     if command == "contour":

@@ -3,6 +3,7 @@
 Nothing is run: the library example alone takes about a second.
 """
 
+import argparse
 import ast
 import re
 import shlex
@@ -45,3 +46,14 @@ def test_command_lines_parse():
             cli.parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README command line does not parse: {line}")
+
+
+def test_named_flags_are_options():
+    # Prose too: a flag that the CLI has dropped must leave the README with it.
+    subcommands = next(action for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    options = {option for parser in subcommands.choices.values()
+               for action in parser._actions for option in action.option_strings}
+    flags = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", README))
+    assert len(flags) >= 8
+    assert not flags - options, sorted(flags - options)
