@@ -228,8 +228,8 @@ def contour_grid(
     Endpoints are included; grid values match scalar evaluation exactly.
     """
     check_count("resolution", resolution, 2)
-    x_lo, x_hi = _pair(x_range)
-    y_lo, y_hi = _pair(y_range)
+    x_lo, x_hi = _pair(x_range, "x_range")
+    y_lo, y_hi = _pair(y_range, "y_range")
     if not (x_hi > x_lo and y_hi > y_lo):
         raise InvalidInputError(f"degenerate grid ranges x={x_range}, y={y_range}")
     if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)):

@@ -14,11 +14,13 @@ that ``bench`` writes reads back as one:
     quadfit-random:<lo>,<hi>,seed=<n> | golden:<lo>:<hi>[:tol]
 
 A diverged run is a recorded experimental outcome, not a failure: exit
-status is 0 for any completed computation, 2 for any argument the library
-refuses, wherever it is refused (a step rule, a ``--kappa`` or a policy
-flag that its constructor refuses, a ``--start`` that is not two finite
-reals, a ``--step`` that ``--method`` does not take), and 1 for an internal
-error such as an unwritable output path or a grid too large to allocate.
+status is 0 for any completed computation. The CLI parses and the library
+judges: argparse reports malformed command text (an unknown flag, a
+``--start`` that is not two comma-separated numbers) with its usage, and
+``main`` reports each value the library refuses (a step rule, ``--kappa``,
+a policy flag, a non-finite ``--start``, a ``--step`` that ``--method``
+does not take) as one ``error:`` line; both exit 2. An internal error,
+such as an unwritable output path or a grid too large to allocate, exits 1.
 """
 
 from __future__ import annotations
@@ -42,13 +44,13 @@ from .bench import (
 )
 from .errors import InvalidInputError
 from .linesearch import parse_rule
-from .objectives import RosenbrockObjective, as_vector, finite_diff_gradient, finite_diff_hessian
+from .objectives import RosenbrockObjective, finite_diff_gradient, finite_diff_hessian
 from .optimize import TerminationPolicy
 
 
 def parse_point(text: str) -> tuple[float, float]:
-    """Two comma-separated finite reals; a ValueError is argparse's usage error."""
-    x1, x2 = as_vector([float(part) for part in text.split(",")], 2).tolist()
+    """Two comma-separated floats; argparse reports a ValueError, the driver judges the point."""
+    x1, x2 = map(float, text.split(","))
     return x1, x2
 
 
@@ -101,18 +103,14 @@ def _policy_flags(p: argparse.ArgumentParser):
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse argv into a rule, an objective and a policy; argparse exits 2 on an error."""
-    parser = build_parser()
-    config = parser.parse_args(argv)
-    try:
-        if config.subcommand == "run" and config.step is not None:
-            config.step = parse_rule(config.step)
-        if config.subcommand != "bench":
-            config.objective = RosenbrockObjective(config.kappa)
-        if config.subcommand in ("run", "bench"):
-            config.policy = TerminationPolicy(config.eps, config.max_iter, config.blowup)
-    except InvalidInputError as exc:
-        parser.error(str(exc))
+    """Parse argv and build its rule, objective and policy, whose constructors judge the values."""
+    config = build_parser().parse_args(argv)
+    if config.subcommand == "run" and config.step is not None:
+        config.step = parse_rule(config.step)
+    if config.subcommand in ("run", "checkgrad"):
+        config.objective = RosenbrockObjective(config.kappa)
+    if config.subcommand in ("run", "bench"):
+        config.policy = TerminationPolicy(config.eps, config.max_iter, config.blowup)
     return config
 
 
@@ -179,8 +177,8 @@ def _cmd_checkgrad(config) -> int:
     return 0
 
 
-def execute(config) -> int:
-    """Dispatch a parsed config; returns the exit status, 2 for an argument the library refuses."""
+def main(argv: list[str] | None = None) -> int:
+    """Parse and run one subcommand; returns the exit status, 2 for a value the library refuses."""
     handlers = {
         "run": _cmd_run,
         "bench": _cmd_bench,
@@ -188,16 +186,16 @@ def execute(config) -> int:
         "checkgrad": _cmd_checkgrad,
     }
     try:
+        config = parse_args(sys.argv[1:] if argv is None else argv)
         return handlers[config.subcommand](config)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, InvalidInputError) else 1
 
 
-def main(argv: list[str] | None = None) -> int:
-    config = parse_args(sys.argv[1:] if argv is None else argv)
-    return execute(config)
-
-
 def entrypoint():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

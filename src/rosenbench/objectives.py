@@ -93,8 +93,8 @@ def as_vector(x, dim: int | None = None) -> Vector:
     return v
 
 
-def _pair(p) -> tuple[float, float]:
-    """Unpack a 2-vector of finite reals into floats."""
+def _pair(p, name: str = "point coordinate") -> tuple[float, float]:
+    """Unpack a 2-vector of finite reals into floats; `name` is what a refusal calls each."""
     try:
         x1, x2 = p.tolist() if isinstance(p, np.ndarray) else p
     except (TypeError, ValueError):  # not iterable, or not of length 2
@@ -102,8 +102,7 @@ def _pair(p) -> tuple[float, float]:
     # Finite Python floats, the common case, skip the general check.
     if type(x1) is float and type(x2) is float and math.isfinite(x1) and math.isfinite(x2):
         return x1, x2
-    return (check_real("point coordinate", x1, -math.inf),
-            check_real("point coordinate", x2, -math.inf))
+    return check_real(name, x1, -math.inf), check_real(name, x2, -math.inf)
 
 
 def valley_value(kappa, x1, x2):

@@ -243,6 +243,11 @@ class TestContourGrid:
             contour_grid(1.0, (0.0, 1.0), (-1e308, 1e308), 3)
         with pytest.raises(InvalidInputError):
             contour_grid(1.0, (0.0, math.inf), (0.0, 1.0), 3)
+        # A refused range end is named by its range.
+        with pytest.raises(InvalidInputError, match="^x_range must be"):
+            contour_grid(1.0, (True, 6.0), (0.0, 1.0), 3)
+        with pytest.raises(InvalidInputError, match="^y_range must be"):
+            contour_grid(1.0, (0.0, 1.0), (0.0, "1"), 3)
 
 
 class TestCsvEmission:

@@ -1,6 +1,10 @@
 """End-to-end tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -57,11 +61,13 @@ class TestParsing:
             parse_rule(text)
 
     def test_bad_point(self):
-        with pytest.raises(ValueError):
-            parse_point("1,2,3")
+        for text in ("1,2,3", "a,1", "1"):
+            with pytest.raises(ValueError):
+                parse_point(text)
 
     def test_usage_errors_exit_2(self, capsys):
-        # Refused by argparse, by parse_args or by the library during the run.
+        # A value the library refuses, while parsing or while running, is
+        # reported by main as one error line.
         for argv in (
             ["run", "--step", "fixed:-1"],
             ["run", "--method", "sd"],                      # missing --step
@@ -69,24 +75,33 @@ class TestParsing:
             ["run", "--method", "sd", "--step", "fixed:0.1", "--restart", "2"],
             ["run", "--method", "cg", "--step", "fixed:0.1", "--restart", "0"],
             ["run", "--method", "sd", "--step", "exact-quadratic"],
-            ["run", "--method", "sd", "--step", "fixed:0.1", "--seed", "1"],
             ["run", "--method", "sd", "--step", "fixed:0.1", "--kappa", "-2"],
             ["run", "--method", "sd", "--step", "fixed:0.1", "--kappa", "inf"],
             ["checkgrad", "--kappa", "inf"],
             ["run", "--method", "sd", "--step", "fixed:0.1", "--start", "inf,1"],
             ["run", "--method", "sd", "--step", "fixed:0.1", "--start", "nan,1"],
             ["bench", "--eps", "0"],
-            ["frobnicate"],
-            ["run", "--unknown-flag"],
             ["contour", "--resolution", "1"],
             ["contour", "--xmin", "5", "--xmax", "1"],
         ):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-            assert code == 2, argv
-        assert capsys.readouterr().out == ""
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+        # Malformed command text is argparse's usage error.
+        for argv in (
+            ["run", "--method", "sd", "--step", "fixed:0.1", "--seed", "1"],
+            ["frobnicate"],
+            ["run", "--unknown-flag"],
+            ["run", "--method", "sd", "--step", "fixed:0.1", "--start", "1,2,3"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert captured.err.startswith("usage: "), argv
 
     @pytest.mark.parametrize("step, reason", [
         ("fixed:-1", "fixed step must be positive"),
@@ -94,9 +109,7 @@ class TestParsing:
         ("brent:0.1", "unknown step rule"),
     ])
     def test_bad_step_names_its_reason(self, capsys, step, reason):
-        with pytest.raises(SystemExit) as exc:
-            parse_args(["run", "--step", step])
-        assert exc.value.code == 2
+        assert main(["run", "--step", step]) == 2
         assert reason in capsys.readouterr().err
 
     def test_bench_defaults(self):
@@ -238,3 +251,18 @@ class TestCheckgradCommand:
         assert capsys.readouterr().out.splitlines() == [
             "gradient max_rel_err=nan", "hessian max_rel_err=nan",
         ]
+
+
+def test_python_m_runs_the_cli():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "rosenbench.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    assert run("run", "--method", "bogus").returncode == 2
+    done = run("run", "--method", "newton", "--start", "0,0")
+    assert done.returncode == 0
+    assert done.stdout.startswith("converged ")

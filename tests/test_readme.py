@@ -13,6 +13,7 @@ import pytest
 
 import rosenbench
 from rosenbench import cli
+from rosenbench.errors import InvalidInputError
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -44,7 +45,7 @@ def test_command_lines_parse():
     for line in lines:
         try:
             cli.parse_args(shlex.split(line)[1:])
-        except SystemExit:
+        except (SystemExit, InvalidInputError):
             pytest.fail(f"README command line does not parse: {line}")
 
 
