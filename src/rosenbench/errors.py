@@ -23,8 +23,7 @@ class IncomparableVariantsError(RuntimeError):
 def check_real(name: str, value, low: float = 0.0, *, closed=False, inf_ok=False) -> float:
     """`value` as a float: a real number, not a bool, above `low` (or at it when
     `closed`) and finite (or +inf when `inf_ok`); else InvalidInputError."""
-    # A float first: RandomQuadraticFit builds a QuadraticFit per iteration, and ABCs are slow.
-    real = isinstance(value, float) or isinstance(value, numbers.Real) and not isinstance(value, bool)
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     try:
         v = float(value) if real else math.nan
     except OverflowError:  # an integer beyond the float range

@@ -101,12 +101,25 @@ class VariableCandidates:
         return best[1]
 
 
-def _fallback_sample(samples, values) -> float:
-    # Best positive abscissa with finite phi; ties toward the smallest step.
+def _parabola_step(line: Line, samples, rows) -> float:
+    # QuadraticFit.select on three `samples`, whose interpolation rows (s*s, s, 1) are `rows`.
+    y = (line(samples[0]), line(samples[1]), line(samples[2]))
+    if all(map(math.isfinite, y)):
+        try:
+            coeffs = np.linalg.solve(rows, y)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            a, b = float(coeffs[0]), float(coeffs[1])
+            if a > _MIN_FIT_CURVATURE:
+                vertex = -b / (2.0 * a)
+                if vertex > 0.0 and math.isfinite(vertex):
+                    return vertex
+    # Fall back to the best positive abscissa with finite phi; ties toward the smallest step.
     best = None
-    for a, y in zip(samples, values):
-        if a > 0.0 and math.isfinite(y) and (best is None or (y, a) < best):
-            best = (y, a)
+    for s, v in zip(samples, y):
+        if s > 0.0 and math.isfinite(v) and (best is None or (v, s) < best):
+            best = (v, s)
     if best is None:
         raise LineSearchFailedError(
             f"phi is non-finite at every positive sample abscissa {samples}"
@@ -147,20 +160,7 @@ class QuadraticFit:
         of a*x^2 + b*x + c.  Returns -b/(2a) when the fit is convex with a
         positive vertex; otherwise the best positive sampled abscissa.
         """
-        s = self.sample_alphas
-        y = (line(s[0]), line(s[1]), line(s[2]))
-        if all(map(math.isfinite, y)):
-            try:
-                coeffs = np.linalg.solve(self.vandermonde, y)
-            except np.linalg.LinAlgError:
-                pass
-            else:
-                a, b = float(coeffs[0]), float(coeffs[1])
-                if a > _MIN_FIT_CURVATURE:
-                    vertex = -b / (2.0 * a)
-                    if vertex > 0.0 and math.isfinite(vertex):
-                        return vertex
-        return _fallback_sample(s, y)
+        return _parabola_step(line, self.sample_alphas, self.vandermonde)
 
 
 @dataclass(frozen=True)
@@ -183,18 +183,19 @@ class RandomQuadraticFit:
     def label(self) -> str:
         return f"quadfit-random:{fmt_real(self.lo)},{fmt_real(self.hi)},seed={self.seed}"
 
-    def draw(self, rng: np.random.Generator) -> QuadraticFit:
-        """Draw three distinct abscissae (redraw on the measure-zero collision)."""
+    def draw(self, rng: np.random.Generator) -> tuple[float, float, float]:
+        """Three distinct abscissae as floats (redraw on the measure-zero collision)."""
         while True:
-            s = rng.uniform(self.lo, self.hi, 3)
-            if s[0] != s[1] and s[1] != s[2] and s[0] != s[2]:
-                return QuadraticFit(tuple(s))
+            s0, s1, s2 = rng.uniform(self.lo, self.hi, 3).tolist()
+            if s0 != s1 and s1 != s2 and s0 != s2:
+                return s0, s1, s2
 
     def select(self, line: Line, rng: np.random.Generator | None = None) -> float:
         """The quadratic-fit step on abscissae drawn from `rng`, or a new one seeded `seed`."""
         if rng is None:
             rng = np.random.default_rng(self.seed)
-        return self.draw(rng).select(line)
+        s = self.draw(rng)
+        return _parabola_step(line, s, [[a * a, a, 1.0] for a in s])
 
 
 @dataclass(frozen=True)
@@ -229,27 +230,24 @@ class GoldenSection:
         d = lo + INV_PHI * width
         yc = line(c)
         yd = line(d)
-        if not (math.isfinite(yc) and math.isfinite(yd)):
-            raise LineSearchFailedError("phi is non-finite inside the golden-section bracket")
-        while width > self.width_tol:
+        y = yd if math.isfinite(yc) else yc  # the probe still to be tested
+        while math.isfinite(y) and width > self.width_tol:
             width *= INV_PHI
             if yc < yd:
                 # Minimum is trapped in [lo, d]: drop the right section.
                 d = c
                 yd = yc
                 c = lo + INV_PHI_SQ * width
-                yc = line(c)
-                if not math.isfinite(yc):
-                    raise LineSearchFailedError("phi is non-finite inside the golden-section bracket")
+                y = yc = line(c)
             else:
                 lo = c
                 c = d
                 yc = yd
                 d = lo + INV_PHI * width
-                yd = line(d)
-                if not math.isfinite(yd):
-                    raise LineSearchFailedError("phi is non-finite inside the golden-section bracket")
-        return lo + 0.5 * width
+                y = yd = line(d)
+        if math.isfinite(y):
+            return lo + 0.5 * width
+        raise LineSearchFailedError("phi is non-finite inside the golden-section bracket")
 
 
 @dataclass(frozen=True)

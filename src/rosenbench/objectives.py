@@ -59,16 +59,17 @@ class Objective(Protocol):
 def real_array(x) -> Vector:
     """`x` as a float64 array; InvalidInputError unless numpy reads it as reals.
 
-    Text, bools, complex numbers and None are refused.
+    Text, bytes, bools, complex numbers and None are refused.
     """
     try:
         v = np.asarray(x)
     except ValueError as exc:  # a ragged nesting of sequences
         raise InvalidInputError(f"expected an array of reals: {exc}") from None
-    # numpy reads a sequence that mixes a bool with floats as floats; an
-    # ndarray, such as the iterate of the quadratic path, is not scanned.
-    if (v.ndim == 1 and not isinstance(x, np.ndarray)
-            and any(isinstance(e, (bool, np.bool_)) for e in x)):
+    # numpy reads a bytearray as its byte codes, and a sequence that mixes a
+    # bool with floats as floats; an ndarray, such as the iterate of the
+    # quadratic path, is not scanned.
+    if isinstance(x, bytearray) or (v.ndim == 1 and not isinstance(x, np.ndarray)
+                                    and any(isinstance(e, (bool, np.bool_)) for e in x)):
         raise InvalidInputError(f"expected an array of reals, got {x!r}")
     if v.dtype != np.float64:  # the drivers' float64 iterates skip the kind check
         if v.dtype.kind not in "iuf":
@@ -95,9 +96,13 @@ def as_vector(x, dim: int | None = None) -> Vector:
 
 def _pair(p, name: str = "point coordinate") -> tuple[float, float]:
     """Unpack a 2-vector of finite reals into floats; `name` is what a refusal calls each."""
+    if isinstance(p, np.ndarray):
+        p = p.tolist()
+    elif not isinstance(p, (tuple, list, range)):  # bytes, a set, a dict or an iterator, say
+        raise InvalidInputError(f"expected a 2-vector, got {p!r}")
     try:
-        x1, x2 = p.tolist() if isinstance(p, np.ndarray) else p
-    except (TypeError, ValueError):  # not iterable, or not of length 2
+        x1, x2 = p
+    except (TypeError, ValueError):  # a 0-d array, or not of length 2
         raise InvalidInputError(f"expected a 2-vector, got {p!r}") from None
     # Finite Python floats, the common case, skip the general check.
     if type(x1) is float and type(x2) is float and math.isfinite(x1) and math.isfinite(x2):

@@ -248,6 +248,10 @@ class TestContourGrid:
             contour_grid(1.0, (True, 6.0), (0.0, 1.0), 3)
         with pytest.raises(InvalidInputError, match="^y_range must be"):
             contour_grid(1.0, (0.0, 1.0), (0.0, "1"), 3)
+        # A range is a sequence or an array: bytes would read as (97, 98).
+        for bad in (b"ab", bytearray(b"ab"), {2.0, 1.0}, {1.0: "a", 2.0: "b"}, iter((0.0, 1.0))):
+            with pytest.raises(InvalidInputError, match="^expected a 2-vector"):
+                contour_grid(1.0, bad, (0.0, 1.0), 2)
 
 
 class TestCsvEmission:

@@ -156,7 +156,8 @@ class TestRuleValidation:
             with pytest.raises(InvalidInputError):
                 RandomQuadraticFit(1.0, hi)
         rule = RandomQuadraticFit(1.0, math.nextafter(two_ulps, 2.0))
-        assert len(set(rule.draw(np.random.default_rng(0)).sample_alphas)) == 3
+        samples = rule.draw(np.random.default_rng(0))
+        assert len(set(samples)) == 3 and all(type(a) is float for a in samples)
 
     def test_quadfit_system_built_with_the_rule(self):
         rule = QuadraticFit((1.0, 2.0, 3.0))
@@ -309,6 +310,18 @@ class TestGoldenSection:
         with pytest.raises(LineSearchFailedError):
             GoldenSection(0.0, 1.0, 1e-6).select(line)
 
+    @pytest.mark.parametrize("fn", [lambda t: math.nan if t < 0.5 else t,  # the first probe
+                                    lambda t: math.nan if t < 0.2 else t,  # a shrink probing c
+                                    lambda t: -t if t < 0.8 else math.inf])  # one probing d
+    def test_nonfinite_probe_ends_the_search(self, fn):
+        probes = []
+        line = scalar_line(lambda t: probes.append(t) or fn(t))
+        with pytest.raises(LineSearchFailedError):
+            GoldenSection(0.0, 1.0, 1e-6).select(line)
+        # The first two probes are made together; a shrink's probe is tested at once.
+        finite = [math.isfinite(fn(t)) for t in probes]
+        assert finite.count(False) == 1 and (len(probes) == 2 or not finite[-1])
+
 
 class TestExactQuadratic:
     def test_unit_curvature_lands_at_minimizer(self):
@@ -348,11 +361,36 @@ class TestRandomQuadraticFit:
         rng1 = np.random.default_rng(rule.seed)
         rng2 = np.random.default_rng(rule.seed)
         for _ in range(20):
-            s1 = rule.draw(rng1).sample_alphas
-            s2 = rule.draw(rng2).sample_alphas
+            s1 = rule.draw(rng1)
+            s2 = rule.draw(rng2)
             assert s1 == s2
+            assert len(s1) == 3 and all(type(a) is float for a in s1)
             assert all(1e-5 <= a <= 1.24e-4 for a in s1)
             assert len(set(s1)) == 3
+
+    def test_select_is_quadratic_fit_on_the_drawn_samples(self):
+        # Bit for bit, on lines where the fit takes its vertex (along -g on the
+        # valley, and on a quadratic's LineRestriction) and where it falls back
+        # to a sample (along +g away from (5, 5)).
+        valley = RosenbrockObjective(100.0)
+        q = QuadraticObjective(np.array([[3.0, 1.0], [1.0, 2.0]]), [1.0, -1.0])
+        lines = [restrict(q, [4.0, -3.0], -q.gradient([4.0, -3.0]))]
+        for p in ((5.0, 5.0), (2.0, 2.0), (-1.2, 1.0), (0.5, 0.3)):
+            g = valley.gradient(p)
+            lines += [restrict(valley, p, -g), restrict(valley, p, g)]
+        vertices = fallbacks = 0
+        for seed in range(4):
+            rule = RandomQuadraticFit(1e-5, 1.24e-4, seed)
+            rng_a = np.random.default_rng(seed)
+            rng_b = np.random.default_rng(seed)
+            for _ in range(20):
+                for line in lines:
+                    samples = rule.draw(rng_b)
+                    step = QuadraticFit(samples).select(line)
+                    assert rule.select(line, rng_a) == step
+                    fallbacks += step in samples
+                    vertices += step not in samples
+        assert vertices > 200 and fallbacks > 200
 
     def test_select_step_dispatch(self):
         line = scalar_line(lambda t: (t - 1.0) ** 2)

@@ -212,8 +212,14 @@ def bad_counts(low, none_ok=False):
 
 
 # A point of non-reals, (v, v), or one non-real beside a float: numpy reads
-# (True, 2.0) as a float pair.
-bad_points = bad_reals(st.nothing()).flatmap(lambda v: st.sampled_from(((v, v), (v, 2.0))))
+# (True, 2.0) as a float pair.  Or a container that unpacks into two reals
+# but is not a sequence of them: bytes give their codes, a set its iteration
+# order, a dict its keys.
+bad_points = st.one_of(
+    bad_reals(st.nothing()).flatmap(lambda v: st.sampled_from(((v, v), (v, 2.0)))),
+    st.sampled_from((b"ab", bytearray(b"ab"), frozenset((1.0, 2.0)), {2.0, 1.0},
+                     {1.0: "a", 2.0: "b"})),
+    st.builds(iter, st.just((1.0, 2.0))))
 # What a tuple field or a point refuses as a whole.
 non_sequences = st.one_of(st.floats(), st.integers(), st.booleans(), st.none(),
                           st.complex_numbers())
