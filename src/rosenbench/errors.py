@@ -3,6 +3,8 @@
 import math
 import numbers
 
+import numpy as np
+
 
 class InvalidInputError(ValueError):
     """A numeric argument violates a precondition (not a number, non-finite, bad shape or sign)."""
@@ -42,8 +44,8 @@ def check_count(name: str, value, low: int) -> int:
 
 
 def check_tuple(name: str, value) -> tuple:
-    """`value` as a tuple: any iterable, whose elements the caller checks; else InvalidInputError."""
-    try:
+    """`value` as a tuple: a tuple, list, range or numpy array, whose elements the caller
+    checks.  Anything else, even bytes, a set, a dict or an iterator, is InvalidInputError."""
+    if isinstance(value, (tuple, list, range)) or (isinstance(value, np.ndarray) and value.ndim):
         return tuple(value)
-    except TypeError:  # not iterable
-        raise InvalidInputError(f"{name} must be a sequence, got {value!r}") from None
+    raise InvalidInputError(f"{name} must be a sequence, got {value!r}")

@@ -36,17 +36,15 @@ class Objective(Protocol):
 
     ``hessian`` may raise for objectives that do not supply one.
 
-    A two-dimensional objective may also be fused: it defines both
-    ``value_and_gradient(x)`` and ``line(x, d)``.  ``x`` and ``d`` are pairs
-    of finite Python floats, already validated.  ``value_and_gradient``
-    returns ``(f, (g1, g2))`` in floats; ``line`` returns phi(a) = f(x + a*d)
-    as a plain callable that reads +inf wherever f is not finite.  The
-    drivers then carry their points as float pairs, evaluate iterates only
-    through ``value_and_gradient`` and build one phi through ``line`` per
-    adaptive step.  On ``RosenbrockObjective``, ``value`` and ``gradient``
-    check the point and call ``value_and_gradient``, so a subclass that
-    changes f overrides ``value_and_gradient`` and ``line`` (and
-    ``hessian`` for Newton).
+    A two-dimensional objective may also be fused: ``value_and_gradient(x1,
+    x2)`` returns the floats ``(f, g1, g2)``, and ``line(x, d)``, at pairs x
+    and d, returns phi(a) = f(x + a*d) as a plain callable that reads +inf
+    wherever f is not finite; every argument is a finite Python float,
+    already validated.  The drivers run a fused objective in their float-pair
+    loop through these two methods alone, and any other in their ndarray
+    loop.  On ``RosenbrockObjective``, ``value`` and ``gradient`` check the
+    point and call ``value_and_gradient``, so a subclass that changes f
+    overrides ``value_and_gradient`` and ``line`` (and ``hessian`` for Newton).
     """
 
     def value(self, x: Vector) -> float: ...
@@ -65,11 +63,12 @@ def real_array(x) -> Vector:
         v = np.asarray(x)
     except ValueError as exc:  # a ragged nesting of sequences
         raise InvalidInputError(f"expected an array of reals: {exc}") from None
-    # numpy reads a bytearray as its byte codes, and a sequence that mixes a
-    # bool with floats as floats; an ndarray, such as the iterate of the
-    # quadratic path, is not scanned.
-    if isinstance(x, bytearray) or (v.ndim == 1 and not isinstance(x, np.ndarray)
-                                    and any(isinstance(e, (bool, np.bool_)) for e in x)):
+    # numpy reads a bytearray or a memoryview of bytes as its byte codes, and
+    # a sequence that mixes a bool with floats as floats; an ndarray, such as
+    # the iterate of the quadratic path, is not scanned.
+    mixed = v.ndim == 1 and not isinstance(x, np.ndarray) and any(
+        isinstance(e, (bool, np.bool_)) for e in x)
+    if isinstance(x, (bytearray, memoryview)) or mixed:
         raise InvalidInputError(f"expected an array of reals, got {x!r}")
     if v.dtype != np.float64:  # the drivers' float64 iterates skip the kind check
         if v.dtype.kind not in "iuf":
@@ -134,11 +133,13 @@ class RosenbrockObjective:
 
     def value(self, x) -> float:
         """kappa*(x1^2 - x2)^2 + (x1 - 1)^2; nonnegative, zero only at (1, 1)."""
-        return self.value_and_gradient(_pair(x))[0]
+        x1, x2 = _pair(x)
+        return self.value_and_gradient(x1, x2)[0]
 
     def gradient(self, x) -> Vector:
         """Analytic gradient: (4k*x1*(x1^2 - x2) + 2(x1 - 1), -2k*(x1^2 - x2))."""
-        return np.array(self.value_and_gradient(_pair(x))[1])
+        x1, x2 = _pair(x)
+        return np.array(self.value_and_gradient(x1, x2)[1:])
 
     def hessian(self, x) -> Matrix:
         """Analytic Hessian [[12k*x1^2 - 4k*x2 + 2, -4k*x1], [-4k*x1, 2k]]."""
@@ -147,13 +148,12 @@ class RosenbrockObjective:
         off = -4.0 * k * x1
         return np.array([[12.0 * k * x1 * x1 - 4.0 * k * x2 + 2.0, off], [off, 2.0 * k]])
 
-    def value_and_gradient(self, x) -> tuple[float, tuple[float, float]]:
-        """f and grad f at a validated pair of floats (see Objective); f as in valley_value."""
-        x1, x2 = x
+    def value_and_gradient(self, x1: float, x2: float) -> tuple[float, float, float]:
+        """(f, g1, g2) at validated floats x1, x2 (see Objective); f as in valley_value."""
         k = self.kappa
         t = x1 * x1 - x2
         u = x1 - 1.0
-        return k * t * t + u * u, (4.0 * k * x1 * t + 2.0 * u, -2.0 * k * t)
+        return k * t * t + u * u, 4.0 * k * x1 * t + 2.0 * u, -2.0 * k * t
 
     def line(self, x, d) -> Callable[[float], float]:
         """phi(a) = f(x + a*d) at validated pairs of floats, +inf where f is not finite.

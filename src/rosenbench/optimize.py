@@ -1,7 +1,7 @@
 """Iteration drivers: steepest descent, Newton-Raphson, Fletcher-Reeves CG.
 
-All three run in one loop, which differs between them only in its step,
-and so share one termination discipline:
+All three run in one loop (on float pairs or on ndarrays), which differs
+between them only in its step, and so share one termination discipline:
 
 * converge when the gradient norm falls to ``epsilon`` or below (checked
   before the first step, so starting at a stationary point converges in
@@ -16,8 +16,8 @@ Runs are deterministic: identical inputs replay identical trajectories.
 
 from __future__ import annotations
 
-import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -110,6 +110,38 @@ def _finish(trajectory, status, k, x, f, gn, alpha) -> RunResult:
     return RunResult(status, k, np.array(x), f, gn, trajectory)
 
 
+def _judge(trajectory, record, k, x, xn, f, gn, alpha, policy) -> RunResult | None:
+    """Record iterate k if asked (the start always), and close the run if a test ends it there."""
+    if record or k == 0:
+        trajectory.append(IterateRecord(k, np.array(x), f, gn, alpha))
+    if gn <= policy.epsilon:
+        status = RunStatus.CONVERGED
+    elif xn > policy.blowup_norm:
+        status = RunStatus.DIVERGED_BLOWUP
+    elif not (math.isfinite(xn) and math.isfinite(f)):
+        status = RunStatus.DIVERGED_NONFINITE
+    elif k == policy.max_iterations:
+        status = RunStatus.MAX_ITERATIONS
+    else:
+        return None
+    return _finish(trajectory, status, k, x, f, gn, alpha)
+
+
+def _guard_edge(blowup: float) -> float:
+    """The edge of the box (-edge, edge)^2 in which hypot gives a finite norm <= blowup."""
+    return min(blowup, sys.float_info.max) * 0.7071067811865475 * (1 - 2**-50)
+
+
+def _newton_step(objective, x, g):
+    """The s with F(x) s = g, or None where the Hessian F(x) is numerically singular."""
+    H = objective.hessian(x)
+    # |det H| <= 1e-12 * scale^n, tested on H/scale to avoid overflow.
+    scale = float(np.linalg.norm(H, "fro"))
+    if not (math.isfinite(scale) and scale > 0.0) or abs(float(np.linalg.det(H / scale))) <= 1e-12:
+        return None
+    return np.linalg.solve(H, g)
+
+
 def _descent_loop(
     objective: Objective,
     x0,
@@ -128,110 +160,136 @@ def _descent_loop(
     x + alpha*(-g) to the bit because negation is exact.
 
     The start is validated once.  A fused objective (see Objective) then
-    has its iterate carried as a pair of Python floats, evaluated through
-    ``value_and_gradient``, and each adaptive step probes the phi of its
-    ``line``; any other is evaluated through ``value`` and ``gradient`` at
-    ndarrays and probed through a LineRestriction.  Points become ndarrays
-    only in the records, the result and Newton's ``hessian`` call.
+    runs in _pair_loop, any other in _array_loop; both evaluate, test and
+    step in the same order.
     """
     if isinstance(rule, ExactQuadratic) and not isinstance(objective, QuadraticObjective):
         raise InvalidInputError("the exact-quadratic rule requires a QuadraticObjective")
     x = as_vector(x0, getattr(objective, "dim", None))
-    pair = hasattr(objective, "value_and_gradient")
-    if pair:
-        x = tuple(x.tolist())
-        evaluate = objective.value_and_gradient
-        along = objective.line
-    else:
-        value_at, gradient_at = objective.value, objective.gradient
-
-        def evaluate(x):
-            return value_at(x), gradient_at(x)
-
-        along = functools.partial(LineRestriction, objective)
     rng = np.random.default_rng(rule.seed) if isinstance(rule, RandomQuadraticFit) else None
     select = None if rule is None else rule.select
-    eps = policy.epsilon
-    blowup = policy.blowup_norm
-    cap = policy.max_iterations
-    newton = rule is None
-    conjugate = restart_period != 1
-    special = conjugate or newton
-    period = restart_period or cap + 1
     fixed_alpha = float(rule.alpha) if isinstance(rule, Fixed) else None
-    hypot = math.hypot
-    isfinite = math.isfinite
-    dot = np.dot
+    period = restart_period or policy.max_iterations + 1
+    loop = _pair_loop if hasattr(objective, "value_and_gradient") else _array_loop
+    # Divergence is data: an overflow or an invalid operation gives an inf or
+    # a nan, which the loops' checks turn into a status, never a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return loop(objective, x, policy, record_trajectory, select, rng, fixed_alpha, period)
+
+
+def _pair_loop(objective, x, policy, record, select, rng, fixed_alpha, period) -> RunResult:
+    """_descent_loop on a fused objective, with the iterate, gradient and direction as floats.
+
+    An unrecorded iterate other than the start and the cap skips _judge when it is inside
+    the box of _guard_edge, its value is finite and a gradient component lies outside
+    [-epsilon, epsilon], which no gradient of norm <= epsilon has.
+    """
+    fg, along, hypot = objective.value_and_gradient, objective.line, math.hypot
+    eps, edge, inf = policy.epsilon, _guard_edge(policy.blowup_norm), math.inf
+    low, neg_eps, neg_inf = -edge, -eps, -inf
+    unjudged = 0 if record else policy.max_iterations  # 0 < k < unjudged may skip _judge
+    newton, conjugate = select is None, period != 1
+    x1, x2 = x.tolist()
+    trajectory: list[IterateRecord] = []
+    alpha = 0.0  # the step that produced (x1, x2)
+    g_prev = gg_prev = d1 = d2 = None
+    k = 0
+    while True:
+        inside = low < x1 < edge and low < x2 < edge
+        try:
+            if not (inside or math.isfinite(x1) and math.isfinite(x2)):
+                raise InvalidInputError("non-finite iterate")
+            f, g1, g2 = fg(x1, x2)
+        except (InvalidInputError, OverflowError):
+            # The iterate is not finite, or the objective refused it.
+            return _finish(trajectory, RunStatus.DIVERGED_NONFINITE, k, (x1, x2), math.nan,
+                           math.nan, alpha)
+        if (not (inside and 0 < k < unjudged and neg_inf < f < inf)
+                or neg_eps <= g1 <= eps and neg_eps <= g2 <= eps):
+            if done := _judge(trajectory, record, k, (x1, x2), hypot(x1, x2), f, hypot(g1, g2),
+                              alpha, policy):
+                return done
+        if newton:
+            s = _newton_step(objective, np.array((x1, x2)), (g1, g2))
+            if s is None:
+                return _finish(trajectory, RunStatus.DIVERGED_SINGULAR_HESSIAN, k, (x1, x2), f,
+                               hypot(g1, g2), alpha)
+            s1, s2 = s.tolist()
+            x1, x2 = x1 - s1, x2 - s2
+            k += 1
+            continue
+        if conjugate:
+            # np.dot, not a Python sum of squares: the pinned CG results
+            # rest on its rounding, that of an fma on 2-vectors where the
+            # BLAS kernel uses one (test_dot_of_a_pair_rounds_like_an_fma).
+            g = (g1, g2)
+            gg = float(np.dot(g, g))
+            if k % period:
+                beta = fletcher_reeves_beta(g, g_prev, gg, gg_prev)
+                d1, d2 = -g1 + beta * d1, -g2 + beta * d2
+            else:
+                d1, d2 = -g1, -g2
+            g_prev, gg_prev = g, gg
+        if fixed_alpha is not None:
+            alpha = fixed_alpha
+        else:
+            if not conjugate:
+                d1, d2 = -g1, -g2
+            try:
+                alpha = float(select(along((x1, x2), (d1, d2)), rng))
+            except (LineSearchFailedError, InvalidDirectionError):
+                # No finite step, or no positive curvature along the line.
+                return _finish(trajectory, RunStatus.DIVERGED_NONFINITE, k, (x1, x2), f,
+                               hypot(g1, g2), alpha)
+        if conjugate:
+            x1, x2 = x1 + alpha * d1, x2 + alpha * d2
+        else:
+            x1, x2 = x1 - alpha * g1, x2 - alpha * g2
+        k += 1
+
+
+def _array_loop(objective, x, policy, record, select, rng, fixed_alpha, period) -> RunResult:
+    """_descent_loop on ndarrays, through value and gradient and a LineRestriction per step."""
+    newton, conjugate = select is None, period != 1
     trajectory: list[IterateRecord] = []
     alpha = 0.0  # the step that produced x
     g_prev = gg_prev = d = None
     k = 0
-    # Divergence is data: an overflow or an invalid operation gives an inf or
-    # a nan, which the checks below turn into a status, never a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            xn = hypot(*x)
-            try:
-                if not (isfinite(xn) or all(map(isfinite, x))):
-                    raise InvalidInputError("non-finite iterate")
-                f, g = evaluate(x)
-                gn = hypot(*g)
-            except (InvalidInputError, OverflowError):
-                # The iterate is not finite, or the objective refused it.
-                return _finish(trajectory, RunStatus.DIVERGED_NONFINITE, k, x, math.nan, math.nan,
-                               alpha)
-            if record_trajectory or k == 0:
-                trajectory.append(IterateRecord(k, np.array(x), f, gn, alpha))
-            if gn <= eps:
-                return _finish(trajectory, RunStatus.CONVERGED, k, x, f, gn, alpha)
-            if xn > blowup:
-                return _finish(trajectory, RunStatus.DIVERGED_BLOWUP, k, x, f, gn, alpha)
-            if not (isfinite(xn) and isfinite(f)):
-                return _finish(trajectory, RunStatus.DIVERGED_NONFINITE, k, x, f, gn, alpha)
-            if k == cap:
-                return _finish(trajectory, RunStatus.MAX_ITERATIONS, k, x, f, gn, alpha)
-            if special:
-                if newton:
-                    H = objective.hessian(np.array(x) if pair else x)
-                    # |det H| <= 1e-12 * scale^n, tested on H/scale to avoid overflow.
-                    scale = float(np.linalg.norm(H, "fro"))
-                    if (not (isfinite(scale) and scale > 0.0)
-                            or abs(float(np.linalg.det(H / scale))) <= 1e-12):
-                        return _finish(trajectory, RunStatus.DIVERGED_SINGULAR_HESSIAN, k, x, f,
-                                       gn, alpha)
-                    if pair:
-                        s1, s2 = np.linalg.solve(H, g).tolist()
-                        x = (x[0] - s1, x[1] - s2)
-                    else:
-                        x = x - np.linalg.solve(H, g)
-                    k += 1
-                    continue
-                # np.dot, not a Python sum of squares: the pinned CG results
-                # rest on its rounding, that of an fma on 2-vectors where the
-                # BLAS kernel uses one (test_dot_of_a_pair_rounds_like_an_fma).
-                gg = float(dot(g, g))
-                if k % period:
-                    beta = fletcher_reeves_beta(g, g_prev, gg, gg_prev)
-                    d = (-g[0] + beta * d[0], -g[1] + beta * d[1]) if pair else -g + beta * d
-                else:
-                    d = (-g[0], -g[1]) if pair else -g
-                g_prev = g
-                gg_prev = gg
-            if fixed_alpha is not None:
-                alpha = fixed_alpha
-            else:
-                if not conjugate:
-                    d = (-g[0], -g[1]) if pair else -g
-                try:
-                    alpha = float(select(along(x, d), rng))
-                except (LineSearchFailedError, InvalidDirectionError):
-                    # No finite step, or no positive curvature along the line.
-                    return _finish(trajectory, RunStatus.DIVERGED_NONFINITE, k, x, f, gn, alpha)
-            if conjugate:
-                x = (x[0] + alpha * d[0], x[1] + alpha * d[1]) if pair else x + alpha * d
-            else:
-                x = (x[0] - alpha * g[0], x[1] - alpha * g[1]) if pair else x - alpha * g
+    while True:
+        xn = math.hypot(*x)
+        try:
+            if not (math.isfinite(xn) or all(map(math.isfinite, x))):
+                raise InvalidInputError("non-finite iterate")
+            f, g = objective.value(x), objective.gradient(x)
+            gn = math.hypot(*g)
+        except (InvalidInputError, OverflowError):
+            # The iterate is not finite, or the objective refused it.
+            return _finish(trajectory, RunStatus.DIVERGED_NONFINITE, k, x, math.nan, math.nan,
+                           alpha)
+        if done := _judge(trajectory, record, k, x, xn, f, gn, alpha, policy):
+            return done
+        if newton:
+            s = _newton_step(objective, x, g)
+            if s is None:
+                return _finish(trajectory, RunStatus.DIVERGED_SINGULAR_HESSIAN, k, x, f, gn, alpha)
+            x = x - s
             k += 1
+            continue
+        if conjugate:
+            gg = float(np.dot(g, g))
+            d = -g + fletcher_reeves_beta(g, g_prev, gg, gg_prev) * d if k % period else -g
+            g_prev, gg_prev = g, gg
+        if fixed_alpha is not None:
+            alpha = fixed_alpha
+        else:
+            if not conjugate:
+                d = -g
+            try:
+                alpha = float(select(LineRestriction(objective, x, d), rng))
+            except (LineSearchFailedError, InvalidDirectionError):
+                return _finish(trajectory, RunStatus.DIVERGED_NONFINITE, k, x, f, gn, alpha)
+        x = x + alpha * d if conjugate else x - alpha * g
+        k += 1
 
 
 def _check_rule(method: str, rule) -> None:

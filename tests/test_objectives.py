@@ -76,10 +76,10 @@ def test_fused_value_and_gradient_bit_identical(kappa):
     points = [(1.0, 1.0), (2.0, 2.0), (-1.2, 1.0), (1e150, -3.0), (0.0, 1e200)]
     points += [tuple(p) for p in rng.uniform(-10.0, 10.0, (200, 2)).tolist()]
     for p in points:
-        f, g = obj.value_and_gradient(p)
-        assert type(f) is float and all(type(c) is float for c in g)
+        f, g1, g2 = obj.value_and_gradient(*p)
+        assert type(f) is float and type(g1) is float and type(g2) is float
         assert f == obj.value(p)
-        assert np.array_equal(np.array(g), obj.gradient(p))
+        assert np.array_equal(np.array((g1, g2)), obj.gradient(p))
 
 
 def test_value_and_gradient_and_line_are_the_override_points():
@@ -88,9 +88,9 @@ def test_value_and_gradient_and_line_are_the_override_points():
     # minimizer along every line, so a phi left on the plain valley would
     # pick other steps than the reference below.
     class Tilted(RosenbrockObjective):
-        def value_and_gradient(self, x):
-            f, (g1, g2) = super().value_and_gradient(x)
-            return f + x[0], (g1 + 1.0, g2)
+        def value_and_gradient(self, x1, x2):
+            f, g1, g2 = super().value_and_gradient(x1, x2)
+            return f + x1, g1 + 1.0, g2
 
         def line(self, x, d):
             phi = super().line(x, d)
@@ -109,10 +109,10 @@ def test_value_and_gradient_and_line_are_the_override_points():
 
     obj = Tilted(100.0)
     for p in [(2.0, 2.0), (-1.2, 1.0), (5.0, 5.0)]:
-        f, g = obj.value_and_gradient(p)
+        f, g1, g2 = obj.value_and_gradient(*p)
         assert f == RosenbrockObjective(100.0).value(p) + p[0]
         assert obj.value(p) == f
-        assert np.array_equal(obj.gradient(p), np.array(g))
+        assert np.array_equal(obj.gradient(p), np.array((g1, g2)))
     policy = TerminationPolicy(max_iterations=5)
     runs = [steepest_descent(o, (2.0, 2.0), GoldenSection(), policy)
             for o in (obj, TiltedOnArrays(), RosenbrockObjective(100.0))]

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rosenbench import (
@@ -263,6 +265,14 @@ class TestSteepestDescent:
         with pytest.raises(InvalidInputError):
             steepest_descent(RosenbrockObjective(1.0), (math.nan, 2.0), Fixed(0.1))
 
+    @pytest.mark.parametrize("start", [bytearray(b"ab"), memoryview(b"ab")],
+                             ids=["bytearray", "memoryview"])
+    def test_byte_buffer_start_rejected(self, start):
+        # numpy would read either as its byte codes, (97, 98).
+        for driver in DRIVERS:
+            with pytest.raises(InvalidInputError):
+                driver(RosenbrockObjective(1.0), start, TerminationPolicy(max_iterations=1))
+
     def test_exact_line_search_orthogonal_gradients(self):
         rng = np.random.default_rng(29)
         q = random_spd_objective(rng, 3)
@@ -312,12 +322,25 @@ class DuckValley:
         return self.valley.hessian(x)
 
 
+def bits(*values):
+    """The float64 bytes of `values`, so that a nan equals a nan with the same bits."""
+    return np.array(values, dtype=np.float64).tobytes()
+
+
 def assert_same_run(a, b):
+    def records(run):
+        return [(r.k, r.point.tobytes(), bits(r.value, r.grad_norm, r.alpha_used))
+                for r in run.trajectory]
+
     assert (a.status, a.iterations) == (b.status, b.iterations)
     assert a.final_point.tobytes() == b.final_point.tobytes()
-    assert (a.final_value, a.final_grad_norm) == (b.final_value, b.final_grad_norm)
-    assert [(r.k, r.point.tobytes(), r.value, r.grad_norm, r.alpha_used) for r in a.trajectory] \
-        == [(r.k, r.point.tobytes(), r.value, r.grad_norm, r.alpha_used) for r in b.trajectory]
+    assert bits(a.final_value, a.final_grad_norm) == bits(b.final_value, b.final_grad_norm)
+    assert records(a) == records(b)
+
+
+def nudged(v):
+    """`v` and the floats one ulp either side of it."""
+    return st.sampled_from((v, math.nextafter(v, math.inf), math.nextafter(v, -math.inf)))
 
 
 class TestFloatPath:
@@ -332,12 +355,99 @@ class TestFloatPath:
         for name, rule in RULES.items() for driver in (steepest_descent, fletcher_reeves_cg)
     ] + [pytest.param(newton_raphson, None, id="newton_raphson")])
     def test_same_bits_as_duck_typed_objective(self, driver, rule):
+        # Without recording, the float-pair loop skips most of its tests.
         policy = TerminationPolicy(max_iterations=300)
         args = (policy,) if rule is None else (rule, policy)
         for kappa, x0 in ((1.0, (2.0, 2.0)), (100.0, (-1.2, 1.0)), (100.0, (5.0, 5.0))):
-            fused = driver(RosenbrockObjective(kappa), x0, *args)
-            generic = driver(DuckValley(kappa), x0, *args)
-            assert_same_run(fused, generic)
+            for record in (True, False):
+                fused = driver(RosenbrockObjective(kappa), x0, *args, record_trajectory=record)
+                generic = driver(DuckValley(kappa), x0, *args, record_trajectory=record)
+                assert_same_run(fused, generic)
+
+    # One run per way to end, named by its status, each on both paths.
+    ENDINGS = {
+        "converged": (steepest_descent, 1.0, (2.0, 2.0), Fixed(0.124), POLICY),
+        # epsilon is the gradient norm at iterate 4.
+        "converged-at-epsilon": (steepest_descent, 1.0, (1.5, 1.5), Fixed(0.124),
+                                 TerminationPolicy(epsilon=0.9758565547693262)),
+        # The iterate leaves the guard's box along one axis and stays inside
+        # it along the other.
+        "diverged_blowup-along-x1": (steepest_descent, 1.0, (5.0, 5.0), Fixed(0.124),
+                                     TerminationPolicy(blowup_norm=1000.0)),
+        "diverged_blowup-along-x2": (steepest_descent, 1.0, (0.0, 10.0), Fixed(1.5),
+                                     TerminationPolicy(blowup_norm=15.0)),
+        # blowup_norm is the iterate norm at 2, so the run blows up at 3.
+        "diverged_blowup-at-the-norm": (steepest_descent, 1.0, (5.0, 5.0), Fixed(0.124),
+                                        TerminationPolicy(blowup_norm=46749.04090477415)),
+        "diverged_nonfinite-iterate": (steepest_descent, 1.0, (1e70, 0.0), Fixed(1e100),
+                                       TerminationPolicy(blowup_norm=math.inf)),
+        "diverged_nonfinite-value": (steepest_descent, 1e300, (1e10, 1.0), Fixed(1e-300),
+                                     TerminationPolicy(blowup_norm=math.inf)),
+        "diverged_nonfinite-line": (fletcher_reeves_cg, 1.0, (0.0, 0.0),
+                                    VariableCandidates((7.0,)),
+                                    TerminationPolicy(epsilon=1.0, max_iterations=4,
+                                                      blowup_norm=math.inf)),
+        "diverged_singular_hessian": (newton_raphson, 1.0, (0.0, 0.5), None, POLICY),
+        "max_iter": (steepest_descent, 1.0, (2.0, 2.0), Fixed(0.000124),
+                     TerminationPolicy(max_iterations=300)),
+    }
+
+    @pytest.mark.parametrize("ending", ENDINGS)
+    @pytest.mark.parametrize("record", [True, False], ids=["recorded", "unrecorded"])
+    def test_each_ending_has_the_same_bits_on_both_paths(self, ending, record):
+        driver, kappa, x0, rule, policy = self.ENDINGS[ending]
+        args = (policy,) if rule is None else (rule, policy)
+        runs = []
+        for objective in (RosenbrockObjective(kappa), DuckValley(kappa)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                runs.append(driver(objective, x0, *args, record_trajectory=record))
+        assert_same_run(*runs)
+        assert runs[0].status.value == ending.split("-")[0]
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_guard_edges_keep_the_bits(self, data):
+        # The float-pair loop skips its tests for an iterate inside a box
+        # drawn from blowup_norm and a gradient outside one drawn from
+        # epsilon.  Draw both bounds within an ulp of the norms and the
+        # components at the start or at the first step, where the box is
+        # first used, over the whole float range.
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        kappa = data.draw(st.floats(min_value=1e-300, max_value=1e300))
+        x0 = data.draw(st.tuples(finite, finite))
+        rule = data.draw(st.one_of(
+            st.floats(min_value=5e-324, max_value=1e300).map(Fixed),
+            st.sampled_from((VariableCandidates(), QuadraticFit(), GoldenSection(),
+                             RandomQuadraticFit(seed=3), None))))
+        valley = RosenbrockObjective(kappa)
+        g = valley.value_and_gradient(*x0)[1:]
+        alpha = rule.alpha if isinstance(rule, Fixed) else 1e-4
+        p = data.draw(st.sampled_from((x0, (x0[0] - alpha * g[0], x0[1] - alpha * g[1]))))
+        top = max(abs(p[0]), abs(p[1]))
+        blowup = data.draw(st.one_of(
+            nudged(math.hypot(*p)), nudged(top * math.sqrt(2.0)),
+            nudged(top / 0.7071067811865475 / (1 - 2**-50)), nudged(sys.float_info.max),
+            st.just(math.inf), st.floats(min_value=1e-300, max_value=1e300)))
+        gp = valley.value_and_gradient(*p)[1:] if math.isfinite(top) else g
+        epsilon = data.draw(st.one_of(nudged(math.hypot(*gp)), nudged(max(map(abs, gp))),
+                                      st.floats(min_value=1e-12, max_value=1e3)))
+        try:
+            policy = TerminationPolicy(epsilon, data.draw(st.integers(1, 30)), blowup)
+        except InvalidInputError:
+            assume(False)
+        if rule is None:
+            driver, args = newton_raphson, (policy,)
+        else:
+            driver = data.draw(st.sampled_from((steepest_descent, fletcher_reeves_cg)))
+            args = (rule, policy)
+        record = data.draw(st.booleans())
+        runs = []
+        for objective in (valley, DuckValley(kappa)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                runs.append(driver(objective, x0, *args, record_trajectory=record))
+        assert_same_run(*runs)
 
     def test_nonfinite_iterate_diverges_quietly(self):
         # With no blow-up bound the step overflows to inf; the iterate is
@@ -480,11 +590,11 @@ class UnitBowl:
     def gradient(self, x):
         return np.array([float(x[0]), float(x[1])])
 
-    def value_and_gradient(self, x):
-        return 0.5 * (x[0] * x[0] + x[1] * x[1]), (x[0], x[1])
+    def value_and_gradient(self, x1, x2):
+        return 0.5 * (x1 * x1 + x2 * x2), x1, x2
 
     def line(self, x, d):
-        return lambda a: self.value_and_gradient((x[0] + a * d[0], x[1] + a * d[1]))[0]
+        return lambda a: self.value_and_gradient(x[0] + a * d[0], x[1] + a * d[1])[0]
 
 
 class TestFletcherReeves:

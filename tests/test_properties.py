@@ -10,8 +10,9 @@ same holds on quadratics 0.5 x'Qx - x'b of dimension up to 6, whose SPD Q
 is drawn from a seeded spectrum and whose start and b span magnitudes down
 to the subnormals.  Every scalar argument that validation refuses (text, a
 bool, None, a complex number, nan, an infinity or a value out of range),
-every tuple field that is not a sequence and every point of non-reals
-raises InvalidInputError and nothing else.  The valley's phi equals its
+every tuple field or point that is not a sequence (bytes, text, a set, a
+dict or an iterator among them) and every point of non-reals raises
+InvalidInputError and nothing else.  The valley's phi equals its
 fused f along the line bit for bit, or +inf where that overflows.  Every
 rule's label parses back to the rule, and every argv drawn from the
 command-line flags exits 0, 1 or 2 without a traceback or a warning.
@@ -22,6 +23,7 @@ derandomized so it is repeatable.
 import contextlib
 import io
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -52,6 +54,7 @@ from rosenbench import (
 )
 from rosenbench.cli import main
 from rosenbench.linesearch import parse_rule
+from rosenbench.optimize import _guard_edge
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -217,9 +220,20 @@ def bad_counts(low, none_ok=False):
 # order, a dict its keys.
 bad_points = st.one_of(
     bad_reals(st.nothing()).flatmap(lambda v: st.sampled_from(((v, v), (v, 2.0)))),
-    st.sampled_from((b"ab", bytearray(b"ab"), frozenset((1.0, 2.0)), {2.0, 1.0},
-                     {1.0: "a", 2.0: "b"})),
+    st.sampled_from((b"ab", bytearray(b"ab"), memoryview(b"ab"), frozenset((1.0, 2.0)),
+                     {2.0, 1.0}, {1.0: "a", 2.0: "b"})),
     st.builds(iter, st.just((1.0, 2.0))))
+
+
+def containers(*elements):
+    """Containers of valid `elements` that are not sequences: a set, a frozenset, a dict
+    and an iterator; and bytes, a bytearray and text, which give codes or characters."""
+    return st.one_of(st.sampled_from((set(elements), frozenset(elements),
+                                      dict.fromkeys(elements), b"abc", bytearray(b"abc"),
+                                      "abc")),
+                     st.builds(iter, st.just(elements)))
+
+
 # What a tuple field or a point refuses as a whole.
 non_sequences = st.one_of(st.floats(), st.integers(), st.booleans(), st.none(),
                           st.complex_numbers())
@@ -273,14 +287,18 @@ REFUSALS = {
     "RosenbrockObjective.gradient": (valley.gradient, st.one_of(bad_points, non_sequences)),
     "RosenbrockObjective.hessian": (valley.hessian, st.one_of(bad_points, non_sequences)),
     "restrict.d": (lambda v: restrict(valley, (2.0, 2.0), v), non_real_directions),
-    "VariableCandidates(non-sequence)": (VariableCandidates, non_sequences),
-    "QuadraticFit(non-sequence)": (QuadraticFit, non_sequences),
+    "VariableCandidates(non-sequence)": (
+        VariableCandidates, st.one_of(non_sequences, containers(0.3, 0.1, 0.2))),
+    "QuadraticFit(non-sequence)": (
+        QuadraticFit, st.one_of(non_sequences, containers(1e-5, 6.7e-5, 1.24e-4))),
     "ExperimentMatrix(kappas=non-sequence)": (lambda v: ExperimentMatrix(kappas=v),
-                                              non_sequences),
-    "ExperimentMatrix(starts=non-sequence)": (lambda v: ExperimentMatrix(starts=v),
-                                              non_sequences),
+                                              st.one_of(non_sequences, containers(100.0, 1.0))),
+    "ExperimentMatrix(starts=non-sequence)": (
+        lambda v: ExperimentMatrix(starts=v),
+        st.one_of(non_sequences, containers((2.0, 2.0), (5.0, 5.0)))),
     "ExperimentMatrix(fixed_alphas=non-sequence)": (lambda v: ExperimentMatrix(fixed_alphas=v),
-                                                    non_sequences),
+                                                    st.one_of(non_sequences,
+                                                              containers(0.124, 0.0124))),
 }
 
 
@@ -307,9 +325,36 @@ def test_line_is_f_along_the_line(kappa, x1, x2, d1, d2, a):
     # span the whole float range, so many of them overflow.
     obj = RosenbrockObjective(kappa)
     y = obj.line((x1, x2), (d1, d2))(a)
-    f = obj.value_and_gradient((x1 + a * d1, x2 + a * d2))[0]
+    f = obj.value_and_gradient(x1 + a * d1, x2 + a * d2)[0]
     assert type(y) is float
     assert y.hex() == (f if math.isfinite(f) else math.inf).hex()
+
+
+# The two premises of the float-pair loop's guard, over the whole float
+# range, subnormals included: a gradient with a component beyond epsilon
+# has a norm beyond it, and an iterate inside the box of _guard_edge has a
+# finite norm no larger than blowup_norm, so both skip their tests safely.
+@SETTINGS
+@given(finite, finite)
+def test_hypot_is_at_least_either_component(a, b):
+    assert math.hypot(a, b) >= max(abs(a), abs(b))
+
+
+@SETTINGS
+@given(st.one_of(st.floats(min_value=5e-324), st.sampled_from(
+    (5e-324, 1e-308, 1.0, math.nextafter(sys.float_info.max, 0.0), sys.float_info.max))),
+    st.data())
+def test_inside_the_guard_box_the_norm_is_finite_and_at_most_blowup(blowup, data):
+    edge = _guard_edge(blowup)
+    assert 0.0 <= edge < math.inf
+    largest_inside = math.nextafter(edge, 0.0)
+    coordinate = st.one_of(
+        st.sampled_from((largest_inside, -largest_inside, 0.0)),
+        st.floats(min_value=-1.0, max_value=1.0).map(lambda u: u * largest_inside))
+    x1, x2 = data.draw(coordinate), data.draw(coordinate)
+    assert -edge < x1 < edge and -edge < x2 < edge
+    norm = math.hypot(x1, x2)
+    assert math.isfinite(norm) and norm <= blowup
 
 
 def mostly(common, odd):
