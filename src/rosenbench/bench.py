@@ -246,38 +246,48 @@ def contour_grid(
 
 RESULTS_HEADER = "method,step_rule,kappa,x0_1,x0_2,status,iterations,final_f,final_grad_norm,wall_ms"
 
+# Every CSV real is "%.17g", which formats as fmt_real does; a writer builds its row
+# template once and fills a whole block of rows with one `%`.
+_RESULTS_ROW = "%s,%s,%.17g,%.17g,%.17g,%s,%d,%.17g,%.17g,%.17g\n"
+_TRAJECTORY_BLOCK = 1024  # records per `%`, so no argument tuple spans a long run
+
 
 def results_csv(rows: list[ResultRow]) -> str:
     """Benchmark table as CSV text (deterministic except the wall_ms column)."""
-    lines = [RESULTS_HEADER]
+    fields = []
     for r in rows:
-        lines.append(
-            f"{r.method},{r.step_rule},{fmt_real(r.kappa)},{fmt_real(r.x0[0])},"
-            f"{fmt_real(r.x0[1])},{r.status},{r.iterations},{fmt_real(r.final_f)},"
-            f"{fmt_real(r.final_grad_norm)},{fmt_real(r.wall_ms)}"
-        )
-    return "\n".join(lines) + "\n"
+        fields += (r.method, r.step_rule, r.kappa, r.x0[0], r.x0[1], r.status, r.iterations,
+                   r.final_f, r.final_grad_norm, r.wall_ms)
+    return RESULTS_HEADER + "\n" + _RESULTS_ROW * len(rows) % tuple(fields)
 
 
 def trajectory_csv(result: RunResult) -> str:
-    """Iterate history as CSV with one coordinate column per dimension."""
+    """Iterate history as CSV, one coordinate column per dimension of `final_point`."""
     dim = len(result.final_point)
-    header = "k," + ",".join(f"x{i + 1}" for i in range(dim)) + ",f,grad_norm,alpha"
-    lines = [header]
-    for rec in result.trajectory:
-        coords = ",".join(f"{c:.17g}" for c in rec.point.tolist())
-        lines.append(
-            f"{rec.k},{coords},{rec.value:.17g},{rec.grad_norm:.17g},"
-            f"{rec.alpha_used:.17g}"
-        )
-    return "\n".join(lines) + "\n"
+    parts = ["k," + ",".join(f"x{i + 1}" for i in range(dim)) + ",f,grad_norm,alpha\n"]
+    row = "%d," + "%.17g," * dim + "%.17g,%.17g,%.17g\n"
+    for start in range(0, len(result.trajectory), _TRAJECTORY_BLOCK):
+        block = result.trajectory[start:start + _TRAJECTORY_BLOCK]
+        fields = []
+        for rec in block:
+            point = rec.point.tolist()
+            if len(point) != dim:
+                raise InvalidInputError(f"record {rec.k} has {len(point)} coordinates, not {dim}")
+            fields += (rec.k, *point, rec.value, rec.grad_norm, rec.alpha_used)
+        parts.append(row * len(block) % tuple(fields))
+    return "".join(parts)
 
 
 def grid_csv(grid: ContourGrid) -> str:
-    """Grid samples as x,y,f rows in row-major order."""
-    ys = [fmt_real(y) for y in grid.ys]
-    lines = ["x,y,f"]
-    for x, row in zip(grid.xs, grid.values):
-        x = fmt_real(x)
-        lines.extend(f"{x},{y},{f:.17g}" for y, f in zip(ys, row.tolist()))
-    return "\n".join(lines) + "\n"
+    """Grid samples as x,y,f rows in row-major order; values must be len(xs) x len(ys)."""
+    n, shape = len(grid.ys), getattr(grid.values, "shape", None)
+    if shape != (len(grid.xs), n):
+        raise InvalidInputError(f"grid values must be {len(grid.xs)}x{n}, got shape {shape}")
+    row = "".join("%s," + fmt_real(y) + ",%.17g\n" for y in grid.ys)
+    fields = [None] * (2 * n)
+    parts = ["x,y,f\n"]
+    for x, values in zip(grid.xs, grid.values):
+        fields[::2] = [fmt_real(x)] * n
+        fields[1::2] = values.tolist()
+        parts.append(row % tuple(fields))
+    return "".join(parts)

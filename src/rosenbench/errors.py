@@ -5,6 +5,9 @@ import numbers
 
 import numpy as np
 
+#: Containers of a point, a range or a tuple field; bytes, a set, a dict or an iterator is not.
+SEQUENCE_TYPES = (tuple, list, range, np.ndarray)
+
 
 class InvalidInputError(ValueError):
     """A numeric argument violates a precondition (not a number, non-finite, bad shape or sign)."""
@@ -44,8 +47,8 @@ def check_count(name: str, value, low: int) -> int:
 
 
 def check_tuple(name: str, value) -> tuple:
-    """`value` as a tuple: a tuple, list, range or numpy array, whose elements the caller
-    checks.  Anything else, even bytes, a set, a dict or an iterator, is InvalidInputError."""
-    if isinstance(value, (tuple, list, range)) or (isinstance(value, np.ndarray) and value.ndim):
+    """`value` as a tuple: one of SEQUENCE_TYPES (an array of at least one dimension), whose
+    elements the caller checks.  Anything else is InvalidInputError."""
+    if isinstance(value, SEQUENCE_TYPES) and getattr(value, "ndim", 1):
         return tuple(value)
     raise InvalidInputError(f"{name} must be a sequence, got {value!r}")

@@ -20,7 +20,7 @@ from typing import Protocol
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import InvalidInputError, check_real
+from .errors import SEQUENCE_TYPES, InvalidInputError, check_real
 
 Vector = NDArray[np.float64]
 Matrix = NDArray[np.float64]
@@ -97,7 +97,7 @@ def _pair(p, name: str = "point coordinate") -> tuple[float, float]:
     """Unpack a 2-vector of finite reals into floats; `name` is what a refusal calls each."""
     if isinstance(p, np.ndarray):
         p = p.tolist()
-    elif not isinstance(p, (tuple, list, range)):  # bytes, a set, a dict or an iterator, say
+    elif not isinstance(p, SEQUENCE_TYPES):
         raise InvalidInputError(f"expected a 2-vector, got {p!r}")
     try:
         x1, x2 = p
@@ -205,13 +205,16 @@ class QuadraticObjective:
     def __repr__(self) -> str:
         return f"QuadraticObjective(Q={self.Q.tolist()!r}, b={self.b.tolist()!r})"
 
+    # A point whose value or gradient overflows gives inf or nan without a numpy warning.
     def value(self, x) -> float:
         v = as_vector(x, self.dim)
-        return 0.5 * float(v @ self.Q @ v) - float(v @ self.b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return 0.5 * float(v @ self.Q @ v) - float(v @ self.b)
 
     def gradient(self, x) -> Vector:
         v = as_vector(x, self.dim)
-        return self.Q @ v - self.b
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.Q @ v - self.b
 
     def hessian(self, x) -> Matrix:
         as_vector(x, self.dim)

@@ -28,9 +28,11 @@ from rosenbench import (
     TerminationPolicy,
     VariableCandidates,
     compare_sd_variants,
+    contour_grid,
     fletcher_reeves_cg,
     finite_diff_gradient,
     finite_diff_hessian,
+    grid_csv,
     newton_raphson,
     restrict,
     results_csv,
@@ -333,12 +335,18 @@ def test_matrix_bits_match_golden(rows):
     assert got == golden
 
 
-def test_trajectory_bits_match_golden():
-    # Whole recorded trajectories: every iterate, value, norm and step.
+def emit_digests():
+    """sha256 of each file the emit workload writes, by its label in emit.csv."""
     digests = {}
     for line in (GOLDENS / "emit.csv").read_text().splitlines():
         label, _, digest, _ = line.split(",", 3)
         digests[label] = digest
+    return digests
+
+
+def test_trajectory_bits_match_golden():
+    # Whole recorded trajectories: every iterate, value, norm and step.
+    digests = emit_digests()
     runs = {
         "run-sd": steepest_descent(RosenbrockObjective(1.0), (5.0, 5.0), Fixed(0.00124)),
         "run-cg": fletcher_reeves_cg(RosenbrockObjective(100.0), (2.0, 2.0), Fixed(0.000124)),
@@ -347,4 +355,14 @@ def test_trajectory_bits_match_golden():
            for label, r in runs.items()}
     ok = all(got[label] == digests[label] for label in runs)
     report("trajectory bits (sha256 vs golden)", ok)
+    assert ok, got
+
+
+def test_contour_grid_bits_match_golden():
+    # Both default 401x401 grids, as `rosenbench contour` writes them.
+    digests = emit_digests()
+    got = {f"contour-k{kappa:g}": hashlib.sha256(grid_csv(contour_grid(kappa)).encode()).hexdigest()
+           for kappa in KAPPAS}
+    ok = all(got[label] == digests[label] for label in got)
+    report("contour grid bits (sha256 vs golden)", ok)
     assert ok, got

@@ -5,17 +5,22 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rosenbench import (
+    ContourGrid,
     ExactQuadratic,
     ExperimentMatrix,
     Fixed,
     IncomparableVariantsError,
     InvalidInputError,
+    IterateRecord,
     QuadraticObjective,
     ResultRow,
     RosenbrockObjective,
+    RunResult,
     RunStatus,
     TerminationPolicy,
     compare_sd_variants,
@@ -281,3 +286,116 @@ class TestCsvEmission:
         lines = grid_csv(grid).splitlines()
         assert lines[0] == "x,y,f"
         assert lines[1:] == ["0,0,1", "0,1,2", "1,0,1", "1,1,0"]
+
+
+# The writers as they were before each formatted whole blocks of rows with one `%`:
+# one f-string per row and one format per field.  The new writers must equal them.
+def reference_results_csv(rows):
+    def fmt_real(v):
+        return format(float(v), ".17g")
+    lines = [RESULTS_HEADER]
+    for r in rows:
+        lines.append(
+            f"{r.method},{r.step_rule},{fmt_real(r.kappa)},{fmt_real(r.x0[0])},"
+            f"{fmt_real(r.x0[1])},{r.status},{r.iterations},{fmt_real(r.final_f)},"
+            f"{fmt_real(r.final_grad_norm)},{fmt_real(r.wall_ms)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def reference_trajectory_csv(result):
+    dim = len(result.final_point)
+    header = "k," + ",".join(f"x{i + 1}" for i in range(dim)) + ",f,grad_norm,alpha"
+    lines = [header]
+    for rec in result.trajectory:
+        coords = ",".join(f"{c:.17g}" for c in rec.point.tolist())
+        lines.append(
+            f"{rec.k},{coords},{rec.value:.17g},{rec.grad_norm:.17g},"
+            f"{rec.alpha_used:.17g}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def reference_grid_csv(grid):
+    ys = [format(float(y), ".17g") for y in grid.ys]
+    lines = ["x,y,f"]
+    for x, row in zip(grid.xs, grid.values):
+        x = format(float(x), ".17g")
+        lines.extend(f"{x},{y},{f:.17g}" for y, f in zip(ys, row.tolist()))
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+               1e-310, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3)
+# Every float, the edges drawn often, and numpy float64 scalars as well as Python floats.
+reals = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)).flatmap(
+    lambda v: st.sampled_from((v, np.float64(v))))
+BYTES_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def records(dim, n, floats):
+    """n records of dimension dim whose fields cycle through `floats`."""
+    cycle = lambda i: floats[i % len(floats)]
+    return [IterateRecord(k, np.array([cycle(k + j) for j in range(dim)]), cycle(k + dim),
+                          cycle(k + dim + 1), cycle(k + dim + 2)) for k in range(n)]
+
+
+def run_result(trajectory, dim):
+    return RunResult(RunStatus.MAX_ITERATIONS, len(trajectory), np.zeros(dim), 0.0, 0.0,
+                     trajectory)
+
+
+class TestCsvBytes:
+    """Each writer equals the per-field reference above, byte for byte."""
+
+    @BYTES_SETTINGS
+    @given(st.lists(st.tuples(st.lists(reals, min_size=7, max_size=7),
+                              st.integers(0, 10**6),
+                              st.sampled_from(("converged", "max_iter"))), max_size=8))
+    def test_results_csv(self, cells):
+        rows = [ResultRow("sd", "fixed:0.124", v[0], (v[1], v[2]), status, iterations,
+                          v[3], v[4], v[5], (v[6],)) for v, iterations, status in cells]
+        assert results_csv(rows) == reference_results_csv(rows)
+
+    # 1,024 records go to one `%`: lengths on both sides of the block edges.
+    @BYTES_SETTINGS
+    @given(st.sampled_from((1, 2, 3, 7)), st.sampled_from((0, 1, 2, 1023, 1024, 1025, 2049)),
+           st.lists(reals, min_size=1, max_size=40))
+    def test_trajectory_csv(self, dim, n, floats):
+        result = run_result(records(dim, n, floats), dim)
+        assert trajectory_csv(result) == reference_trajectory_csv(result)
+
+    @BYTES_SETTINGS
+    @given(st.integers(0, 6), st.integers(0, 6), st.lists(reals, min_size=1, max_size=60))
+    def test_grid_csv(self, nx, ny, floats):
+        cycle = [floats[i % len(floats)] for i in range(nx + ny + nx * ny)]
+        grid = ContourGrid(1.0, np.array(cycle[:nx]), np.array(cycle[nx:nx + ny]),
+                           np.array(cycle[nx + ny:]).reshape(nx, ny))
+        assert grid_csv(grid) == reference_grid_csv(grid)
+
+    @pytest.mark.parametrize("run", [
+        lambda: steepest_descent(RosenbrockObjective(1.0), (5.0, 5.0), Fixed(0.00124)),
+        lambda: newton_raphson(RosenbrockObjective(100.0), (-1.2, 1.0)),
+        lambda: fletcher_reeves_cg(
+            QuadraticObjective(np.diag(np.geomspace(1.0, 1e3, 7)), np.arange(7.0)), np.ones(7),
+            ExactQuadratic()),
+    ], ids=["valley-sd", "valley-newton", "quadratic-7d-cg"])
+    def test_recorded_runs(self, run):
+        result = run()
+        assert result.trajectory
+        assert trajectory_csv(result) == reference_trajectory_csv(result)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (1, 3), (2, 2), (2, 4), (6,), (2, 3, 1)])
+    def test_ragged_grid_refused(self, shape):
+        # Pairing rows with xs and values with ys would drop what does not pair.
+        assert grid_csv(ContourGrid(1.0, np.zeros(2), np.zeros(3), np.zeros((2, 3))))
+        with pytest.raises(InvalidInputError, match="grid values must be 2x3"):
+            grid_csv(ContourGrid(1.0, np.zeros(2), np.zeros(3), np.zeros(shape)))
+
+    @pytest.mark.parametrize("at", [0, 1, 1023, 1024, 1500])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_ragged_record_refused(self, at, dim):
+        trajectory = records(2, 1501, [0.5, 1.5])
+        trajectory[at] = IterateRecord(at, np.zeros(dim), 0.0, 0.0, 0.0)
+        with pytest.raises(InvalidInputError, match=f"record {at} has {dim} coordinates, not 2"):
+            trajectory_csv(run_result(trajectory, 2))

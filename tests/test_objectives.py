@@ -1,6 +1,7 @@
 """Tests for the objective functions and finite-difference oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from rosenbench import (
     finite_diff_hessian,
     steepest_descent,
 )
-from rosenbench.objectives import as_vector
+from rosenbench.errors import check_tuple
+from rosenbench.objectives import _pair, as_vector
 
 
 @pytest.mark.parametrize(
@@ -179,6 +181,23 @@ class TestQuadraticObjective:
         with pytest.raises(InvalidInputError):
             q.value([1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("x", [(1e160, 1e160), (1e308, 1e308), (-1e308, -1e308),
+                                   (1e308, -1e308)])
+    @pytest.mark.parametrize("Q, b", [(np.eye(2), [0.0, 0.0]),
+                                      ([[4.0, 1.0], [1.0, 4.0]], [1.0, -1.0])])
+    def test_overflow_is_inf_or_nan_without_a_warning(self, Q, b, x):
+        q = QuadraticObjective(Q, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = q.value(x)
+            gradient = q.gradient(x)
+            fd_gradient = finite_diff_gradient(q, x)
+            fd_hessian = finite_diff_hessian(q, x)
+        assert not math.isfinite(value)
+        # x'Qx overflows at every such point; Qx only where it leaves the float range.
+        assert np.isfinite(gradient).all() == (abs(x[0]) < 1e300 or Q[0][0] == 1.0)
+        assert not np.isfinite(fd_gradient).any() and not np.isfinite(fd_hessian).any()
+
     def test_random_minimizer_gradient_small(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -279,3 +298,22 @@ class TestInvariants:
         for x1 in (0.0, 0.5, 1.0, 1.5, 2.0):
             H = RosenbrockObjective(1.0).hessian((x1, x1 * x1 + 0.5))
             assert H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0] == 0.0
+
+
+# Containers of two valid reals: which count as a sequence is decided once, for both.
+@pytest.mark.parametrize("container, accepted", [
+    ((1.0, 2.0), True), ([1.0, 2.0], True), (range(1, 3), True), (np.array([1.0, 2.0]), True),
+    (b"ab", False), (bytearray(b"ab"), False), (memoryview(b"ab"), False), ("12", False),
+    ({1.0, 2.0}, False), (frozenset((1.0, 2.0)), False), ({1.0: "a", 2.0: "b"}, False),
+    (iter((1.0, 2.0)), False), ((x for x in (1.0, 2.0)), False), (np.array(1.0), False),
+])
+def test_pair_and_check_tuple_accept_the_same_containers(container, accepted):
+    def accepts(check):
+        try:
+            check(container)
+        except InvalidInputError:
+            return False
+        return True
+
+    assert accepts(_pair) is accepted
+    assert accepts(lambda c: check_tuple("field", c)) is accepted
