@@ -237,10 +237,9 @@ def contour_grid(
     kappa = RosenbrockObjective(kappa).kappa  # validates kappa
     xs = np.linspace(x_lo, x_hi, resolution)
     ys = np.linspace(y_lo, y_hi, resolution)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    # A value that overflows is inf, as the scalar evaluation gives.
+    # values[i, j] = f(xs[i], ys[j]); an overflow is inf, as the scalar evaluation gives.
     with np.errstate(over="ignore", invalid="ignore"):
-        values = valley_value(kappa, X, Y)
+        values = valley_value(kappa, xs[:, None], ys)
     return ContourGrid(kappa=kappa, xs=xs, ys=ys, values=values)
 
 

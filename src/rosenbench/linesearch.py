@@ -62,7 +62,7 @@ class Fixed:
     alpha: float
 
     def __post_init__(self):
-        check_real("fixed step", self.alpha)
+        object.__setattr__(self, "alpha", check_real("fixed step", self.alpha))
 
     def label(self) -> str:
         return f"fixed:{fmt_real(self.alpha)}"
@@ -178,7 +178,9 @@ class RandomQuadraticFit:
         # floats besides lo and hi.
         if math.nextafter(math.nextafter(lo, math.inf), math.inf) >= hi:
             raise InvalidInputError(f"[{lo}, {hi}] holds too few floats for three samples")
-        check_count("seed", self.seed, 0)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "seed", check_count("seed", self.seed, 0))
 
     def label(self) -> str:
         return f"quadfit-random:{fmt_real(self.lo)},{fmt_real(self.hi)},seed={self.seed}"
@@ -213,6 +215,9 @@ class GoldenSection:
         if not hi - lo > width_tol:
             raise InvalidInputError(f"need hi - lo > width_tol, got interval ({lo}, {hi}) "
                                     f"with tolerance {width_tol}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "width_tol", width_tol)
 
     def label(self) -> str:
         return f"golden:{fmt_real(self.lo)}:{fmt_real(self.hi)}:{fmt_real(self.width_tol)}"

@@ -40,11 +40,11 @@ class Objective(Protocol):
     x2)`` returns the floats ``(f, g1, g2)``, and ``line(x, d)``, at pairs x
     and d, returns phi(a) = f(x + a*d) as a plain callable that reads +inf
     wherever f is not finite; every argument is a finite Python float,
-    already validated.  The drivers run a fused objective in their float-pair
-    loop through these two methods alone, and any other in their ndarray
-    loop.  On ``RosenbrockObjective``, ``value`` and ``gradient`` check the
-    point and call ``value_and_gradient``, so a subclass that changes f
-    overrides ``value_and_gradient`` and ``line`` (and ``hessian`` for Newton).
+    already validated.  SD and CG run a fused objective in the drivers' float-pair
+    loop through these two methods alone, and any other in the ndarray loop, where
+    Newton-Raphson runs every objective through ``value``, ``gradient`` and
+    ``hessian``.  A ``RosenbrockObjective`` subclass that changes f overrides
+    ``line``, ``hessian`` and ``value_and_gradient``, which ``value`` and ``gradient`` call.
     """
 
     def value(self, x: Vector) -> float: ...

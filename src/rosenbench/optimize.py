@@ -56,10 +56,14 @@ class TerminationPolicy:
     def __post_init__(self):
         epsilon = check_real("epsilon", self.epsilon)
         # The cap fires on k == max_iterations, which a non-integer never meets.
-        check_count("max_iterations", self.max_iterations, 1)
+        cap = check_count("max_iterations", self.max_iterations, 1)
         blowup = check_real("blowup_norm", self.blowup_norm, inf_ok=True)
         if not blowup > epsilon:
             raise InvalidInputError(f"blowup_norm must exceed epsilon, got {blowup} <= {epsilon}")
+        # Keep what the checks return, so a run compares in float (a np.float32 would not).
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "max_iterations", cap)
+        object.__setattr__(self, "blowup_norm", blowup)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,16 +136,6 @@ def _guard_edge(blowup: float) -> float:
     return min(blowup, sys.float_info.max) * 0.7071067811865475 * (1 - 2**-50)
 
 
-def _newton_step(objective, x, g):
-    """The s with F(x) s = g, or None where the Hessian F(x) is numerically singular."""
-    H = objective.hessian(x)
-    # |det H| <= 1e-12 * scale^n, tested on H/scale to avoid overflow.
-    scale = float(np.linalg.norm(H, "fro"))
-    if not (math.isfinite(scale) and scale > 0.0) or abs(float(np.linalg.det(H / scale))) <= 1e-12:
-        return None
-    return np.linalg.solve(H, g)
-
-
 def _descent_loop(
     objective: Objective,
     x0,
@@ -159,18 +153,19 @@ def _descent_loop(
     restarts.  A steepest-descent step is x - alpha*g, which equals
     x + alpha*(-g) to the bit because negation is exact.
 
-    The start is validated once.  A fused objective (see Objective) then
-    runs in _pair_loop, any other in _array_loop; both evaluate, test and
-    step in the same order.
+    The start is validated once.  SD and CG on a fused objective (see
+    Objective) then run in _pair_loop, Newton and any other run in
+    _array_loop; both evaluate, test and step in the same order.
     """
     if isinstance(rule, ExactQuadratic) and not isinstance(objective, QuadraticObjective):
         raise InvalidInputError("the exact-quadratic rule requires a QuadraticObjective")
     x = as_vector(x0, getattr(objective, "dim", None))
     rng = np.random.default_rng(rule.seed) if isinstance(rule, RandomQuadraticFit) else None
     select = None if rule is None else rule.select
-    fixed_alpha = float(rule.alpha) if isinstance(rule, Fixed) else None
+    fixed_alpha = rule.alpha if isinstance(rule, Fixed) else None
     period = restart_period or policy.max_iterations + 1
-    loop = _pair_loop if hasattr(objective, "value_and_gradient") else _array_loop
+    fused = rule is not None and hasattr(objective, "value_and_gradient")
+    loop = _pair_loop if fused else _array_loop
     # Divergence is data: an overflow or an invalid operation gives an inf or
     # a nan, which the loops' checks turn into a status, never a warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -178,7 +173,7 @@ def _descent_loop(
 
 
 def _pair_loop(objective, x, policy, record, select, rng, fixed_alpha, period) -> RunResult:
-    """_descent_loop on a fused objective, with the iterate, gradient and direction as floats.
+    """_descent_loop under SD or CG on a fused objective, with x, g and d as floats.
 
     An unrecorded iterate other than the start and the cap skips _judge when it is inside
     the box of _guard_edge, its value is finite and a gradient component lies outside
@@ -188,7 +183,7 @@ def _pair_loop(objective, x, policy, record, select, rng, fixed_alpha, period) -
     eps, edge, inf = policy.epsilon, _guard_edge(policy.blowup_norm), math.inf
     low, neg_eps, neg_inf = -edge, -eps, -inf
     unjudged = 0 if record else policy.max_iterations  # 0 < k < unjudged may skip _judge
-    newton, conjugate = select is None, period != 1
+    conjugate = period != 1
     x1, x2 = x.tolist()
     trajectory: list[IterateRecord] = []
     alpha = 0.0  # the step that produced (x1, x2)
@@ -209,15 +204,6 @@ def _pair_loop(objective, x, policy, record, select, rng, fixed_alpha, period) -
             if done := _judge(trajectory, record, k, (x1, x2), hypot(x1, x2), f, hypot(g1, g2),
                               alpha, policy):
                 return done
-        if newton:
-            s = _newton_step(objective, np.array((x1, x2)), (g1, g2))
-            if s is None:
-                return _finish(trajectory, RunStatus.DIVERGED_SINGULAR_HESSIAN, k, (x1, x2), f,
-                               hypot(g1, g2), alpha)
-            s1, s2 = s.tolist()
-            x1, x2 = x1 - s1, x2 - s2
-            k += 1
-            continue
         if conjugate:
             # np.dot, not a Python sum of squares: the pinned CG results
             # rest on its rounding, that of an fma on 2-vectors where the
@@ -249,7 +235,7 @@ def _pair_loop(objective, x, policy, record, select, rng, fixed_alpha, period) -
 
 
 def _array_loop(objective, x, policy, record, select, rng, fixed_alpha, period) -> RunResult:
-    """_descent_loop on ndarrays, through value and gradient and a LineRestriction per step."""
+    """_descent_loop on ndarrays: value and gradient, then hessian or a LineRestriction."""
     newton, conjugate = select is None, period != 1
     trajectory: list[IterateRecord] = []
     alpha = 0.0  # the step that produced x
@@ -269,10 +255,13 @@ def _array_loop(objective, x, policy, record, select, rng, fixed_alpha, period) 
         if done := _judge(trajectory, record, k, x, xn, f, gn, alpha, policy):
             return done
         if newton:
-            s = _newton_step(objective, x, g)
-            if s is None:
+            H = objective.hessian(x)
+            # Singular where |det H| <= 1e-12 * scale^n, tested on H/scale to avoid overflow.
+            scale = float(np.linalg.norm(H, "fro"))
+            if (not (math.isfinite(scale) and scale > 0.0)
+                    or abs(float(np.linalg.det(H / scale))) <= 1e-12):
                 return _finish(trajectory, RunStatus.DIVERGED_SINGULAR_HESSIAN, k, x, f, gn, alpha)
-            x = x - s
+            x = x - np.linalg.solve(H, g)
             k += 1
             continue
         if conjugate:

@@ -1,8 +1,10 @@
 """Tests for the iteration drivers and termination policy."""
 
+import dataclasses
 import math
 import sys
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -508,6 +510,26 @@ class TestFailedProbeRepro:
         assert all(rec.alpha_used == 0.1 for rec in r.trajectory[1:])
 
 
+class CountingValley(RosenbrockObjective):
+    """The fused valley, counting its calls of value, gradient and hessian."""
+
+    def __init__(self, kappa):
+        super().__init__(kappa)
+        self.calls = Counter()
+
+    def value(self, x):
+        self.calls["value"] += 1
+        return super().value(x)
+
+    def gradient(self, x):
+        self.calls["gradient"] += 1
+        return super().gradient(x)
+
+    def hessian(self, x):
+        self.calls["hessian"] += 1
+        return super().hessian(x)
+
+
 class TestNewtonRaphson:
     def test_two_step_run_from_origin(self):
         r = newton_raphson(RosenbrockObjective(1.0), (0.0, 0.0))
@@ -545,6 +567,61 @@ class TestNewtonRaphson:
         r = newton_raphson(RosenbrockObjective(kappa), x0)
         assert r.status is RunStatus.CONVERGED
         assert r.iterations <= 50
+
+    # Newton runs in the ndarray loop on every objective, the fused valley included: one
+    # value and one gradient per iterate, one hessian per step or singular stop.
+    @pytest.mark.parametrize("kappa", [1.0, 100.0])
+    @pytest.mark.parametrize("x0", [(2.0, 2.0), (5.0, 5.0)])
+    def test_evaluation_counts_on_the_matrix_problems(self, kappa, x0):
+        valley = CountingValley(kappa)
+        n = newton_raphson(valley, x0, record_trajectory=False).iterations
+        assert valley.calls == {"value": n + 1, "gradient": n + 1, "hessian": n}
+
+    def test_singular_stop_evaluates_each_once(self):
+        valley = CountingValley(1e300)
+        r = newton_raphson(valley, (2.0, 2.0))
+        assert (r.status, r.iterations) == (RunStatus.DIVERGED_SINGULAR_HESSIAN, 0)
+        assert valley.calls == {"value": 1, "gradient": 1, "hessian": 1}
+
+
+class TestCheckedFieldsAreKept:
+    """A constructor keeps the float or int that its check returns, so a numpy scalar
+    field runs like its Python twin; a np.float32 would compare and step in float32."""
+
+    F32, I64 = np.float32, np.int64
+
+    @pytest.mark.parametrize("value, types", [
+        (TerminationPolicy(F32(1e-3), I64(5), F32(1e8)), (float, int, float)),
+        (Fixed(F32(0.5)), (float,)),
+        (GoldenSection(F32(1e-6), F32(1.5), F32(1e-8)), (float, float, float)),
+        (RandomQuadraticFit(F32(1e-5), F32(1e-4), I64(3)), (float, float, int)),
+    ], ids=["TerminationPolicy", "Fixed", "GoldenSection", "RandomQuadraticFit"])
+    def test_fields_are_python_numbers(self, value, types):
+        assert tuple(type(getattr(value, f.name)) for f in dataclasses.fields(value)) == types
+
+    def test_float32_epsilon_converges_as_its_float_twin(self):
+        # The start's gradient norm lies between epsilon and its float32 rounding.
+        eps = float(self.F32(1e-3))
+        x0 = (eps + 2.5e-12, 0.0)
+        runs = [steepest_descent(BOWL, x0, Fixed(0.5), TerminationPolicy(epsilon=e))
+                for e in (self.F32(1e-3), eps)]
+        assert_same_run(*runs)
+        assert runs[0].iterations == 1
+
+    def test_float32_blowup_norm_diverges_as_its_float_twin(self):
+        # The iterate norm at k = 2 lies above its float32 rounding, the bound.
+        bound = self.F32(46749.04090477415)
+        runs = [steepest_descent(RosenbrockObjective(1.0), (5.0, 5.0), Fixed(0.124),
+                                 TerminationPolicy(blowup_norm=b)) for b in (bound, float(bound))]
+        assert_same_run(*runs)
+        assert (runs[0].status, runs[0].iterations) == (RunStatus.DIVERGED_BLOWUP, 2)
+
+    def test_float32_golden_bracket_runs_as_its_float_twin(self):
+        lo = self.F32(1.24e-6)
+        runs = [steepest_descent(RosenbrockObjective(1.0), (2.0, 2.0), GoldenSection(a, 1.5))
+                for a in (lo, float(lo))]
+        assert_same_run(*runs)
+        assert runs[0].iterations == 45
 
 
 def reference_beta(g_next, g):
