@@ -27,6 +27,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .errors import (InvalidDirectionError, InvalidInputError, LineSearchFailedError,
                      check_count, check_real, check_tuple)
@@ -89,32 +90,31 @@ class VariableCandidates:
 
     def select(self, line: Line, rng=None) -> float:
         """Candidate with smallest phi; ties broken toward the smallest step."""
-        best = None
+        best, best_y, inf = None, math.inf, math.inf
         for a in self.alphas:
             y = line(a)
-            if math.isfinite(y) and (best is None or (y, a) < best):
-                best = (y, a)
+            if -inf < y < inf and (y < best_y or y == best_y and a < best):
+                best, best_y = a, y
         if best is None:
             raise LineSearchFailedError(
                 f"phi is non-finite at every candidate step {self.alphas}"
             )
-        return best[1]
+        return best
 
 
 def _parabola_step(line: Line, samples, rows) -> float:
     # QuadraticFit.select on three `samples`, whose interpolation rows (s*s, s, 1) are `rows`.
-    y = (line(samples[0]), line(samples[1]), line(samples[2]))
-    if all(map(math.isfinite, y)):
-        try:
-            coeffs = np.linalg.solve(rows, y)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            a, b = float(coeffs[0]), float(coeffs[1])
-            if a > _MIN_FIT_CURVATURE:
-                vertex = -b / (2.0 * a)
-                if vertex > 0.0 and math.isfinite(vertex):
-                    return vertex
+    # _solve1 is the LAPACK gesv gufunc that np.linalg.solve calls, so the bits are its bits;
+    # a singular system gives nan coefficients, which fail the curvature test below.
+    y = y0, y1, y2 = line(samples[0]), line(samples[1]), line(samples[2])
+    inf = math.inf
+    if -inf < y0 < inf and -inf < y1 < inf and -inf < y2 < inf:
+        with np.errstate(over="ignore", divide="ignore", under="ignore", invalid="ignore"):
+            a, b, _ = _solve1(rows, y, signature="dd->d").tolist()
+        if a > _MIN_FIT_CURVATURE:
+            vertex = -b / (2.0 * a)
+            if vertex > 0.0 and math.isfinite(vertex):
+                return vertex
     # Fall back to the best positive abscissa with finite phi; ties toward the smallest step.
     best = None
     for s, v in zip(samples, y):
@@ -207,6 +207,9 @@ class GoldenSection:
     lo: float = DEFAULT_GOLDEN_LO
     hi: float = DEFAULT_GOLDEN_HI
     width_tol: float = DEFAULT_GOLDEN_WIDTH_TOL
+    #: (c, d, shrinks, half): the first two abscissae, one (INV_PHI_SQ*w, INV_PHI*w) pair
+    #: per shrink to width w, and half the final width, built once per rule.
+    _schedule: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo = check_real("interval start", self.lo, closed=True)
@@ -218,6 +221,15 @@ class GoldenSection:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "width_tol", width_tol)
+        # The widths do not depend on phi: each shrink multiplies the width by
+        # exactly INV_PHI until it is at most width_tol.
+        width = hi - lo
+        c, d = lo + INV_PHI_SQ * width, lo + INV_PHI * width
+        shrinks = []
+        while width > width_tol:
+            width *= INV_PHI
+            shrinks.append((INV_PHI_SQ * width, INV_PHI * width))
+        object.__setattr__(self, "_schedule", (c, d, tuple(shrinks), 0.5 * width))
 
     def label(self) -> str:
         return f"golden:{fmt_real(self.lo)}:{fmt_real(self.hi)}:{fmt_real(self.width_tol)}"
@@ -226,32 +238,31 @@ class GoldenSection:
         """Golden-ratio bracket shrinking; returns the final bracket midpoint.
 
         Each shrink step costs one new phi evaluation and multiplies the
-        bracket width by exactly INV_PHI.  No unimodality check is made: on
-        a multimodal phi the result is whatever the elimination keeps.
+        bracket width by exactly INV_PHI, so a select makes 2 + len(shrinks)
+        probes.  No unimodality check is made: on a multimodal phi the result
+        is whatever the elimination keeps.
         """
-        lo = self.lo
-        width = self.hi - self.lo
-        c = lo + INV_PHI_SQ * width
-        d = lo + INV_PHI * width
+        c, d, shrinks, half = self._schedule
+        lo, inf = self.lo, math.inf
         yc = line(c)
         yd = line(d)
-        y = yd if math.isfinite(yc) else yc  # the probe still to be tested
-        while math.isfinite(y) and width > self.width_tol:
-            width *= INV_PHI
-            if yc < yd:
-                # Minimum is trapped in [lo, d]: drop the right section.
-                d = c
-                yd = yc
-                c = lo + INV_PHI_SQ * width
-                y = yc = line(c)
+        if -inf < yc < inf and -inf < yd < inf:
+            for near, far in shrinks:
+                if yc < yd:
+                    # Minimum is trapped in [lo, d]: drop the right section.
+                    d, yd = c, yc
+                    c = lo + near
+                    yc = line(c)
+                    if not -inf < yc < inf:
+                        break
+                else:
+                    lo, c, yc = c, d, yd
+                    d = lo + far
+                    yd = line(d)
+                    if not -inf < yd < inf:
+                        break
             else:
-                lo = c
-                c = d
-                yc = yd
-                d = lo + INV_PHI * width
-                y = yd = line(d)
-        if math.isfinite(y):
-            return lo + 0.5 * width
+                return lo + half
         raise LineSearchFailedError("phi is non-finite inside the golden-section bracket")
 
 
@@ -268,11 +279,14 @@ class ExactQuadratic:
         if not isinstance(objective, QuadraticObjective):
             raise InvalidInputError("exact line minimization requires a QuadraticObjective")
         d = line.d
-        curvature = float(d @ objective.Q @ d)
-        if curvature <= 0.0:
-            raise InvalidDirectionError(f"direction has nonpositive curvature d'Qd = {curvature}")
-        g = objective.gradient(line.x)
-        return -float(g @ d) / curvature
+        # An overflow gives an inf or a nan quietly, as it does inside a run.
+        with np.errstate(over="ignore", invalid="ignore"):
+            curvature = float(d @ objective.Q @ d)
+            if curvature <= 0.0:
+                raise InvalidDirectionError(
+                    f"direction has nonpositive curvature d'Qd = {curvature}")
+            g = objective.gradient(line.x)
+            return -float(g @ d) / curvature
 
 
 StepRule = Fixed | VariableCandidates | QuadraticFit | RandomQuadraticFit | GoldenSection | ExactQuadratic

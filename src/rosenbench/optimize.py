@@ -222,7 +222,7 @@ def _pair_loop(objective, x, policy, record, select, rng, fixed_alpha, period) -
             if not conjugate:
                 d1, d2 = -g1, -g2
             try:
-                alpha = float(select(along((x1, x2), (d1, d2)), rng))
+                alpha = select(along((x1, x2), (d1, d2)), rng)
             except (LineSearchFailedError, InvalidDirectionError):
                 # No finite step, or no positive curvature along the line.
                 return _finish(trajectory, RunStatus.DIVERGED_NONFINITE, k, (x1, x2), f,
@@ -274,7 +274,7 @@ def _array_loop(objective, x, policy, record, select, rng, fixed_alpha, period) 
             if not conjugate:
                 d = -g
             try:
-                alpha = float(select(LineRestriction(objective, x, d), rng))
+                alpha = select(LineRestriction(objective, x, d), rng)
             except (LineSearchFailedError, InvalidDirectionError):
                 return _finish(trajectory, RunStatus.DIVERGED_NONFINITE, k, x, f, gn, alpha)
         x = x + alpha * d if conjugate else x - alpha * g

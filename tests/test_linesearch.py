@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rosenbench import (
@@ -21,12 +23,16 @@ from rosenbench import (
     VariableCandidates,
     restrict,
 )
+from rosenbench import linesearch
 from rosenbench.linesearch import (
     INV_PHI,
+    INV_PHI_SQ,
     LineRestriction,
     parse_rule,
     select_step,
 )
+
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
 class ScalarObjective:
@@ -213,6 +219,25 @@ class TestVariable:
             assert got == best[1]
             assert line(got) <= min(line(a) for a in cands)
 
+    @SETTINGS
+    @given(st.lists(st.one_of(st.sampled_from((0.5, 1.0, 2.0)),
+                              st.floats(min_value=5e-324, allow_infinity=False)),
+                    min_size=1, max_size=6),
+           st.data())
+    def test_select_is_the_min_of_value_step_pairs(self, alphas, data):
+        # Bit for bit against min((y, a)) over the finite probes: ties in y,
+        # repeated candidates, -0.0 against 0.0 and nan or infinite probes.
+        values = st.one_of(st.sampled_from((0.0, -0.0, 1.0, math.nan, math.inf, -math.inf)),
+                           st.floats())
+        table = {a: data.draw(values) for a in alphas}
+        rule = VariableCandidates(tuple(alphas))
+        finite = [(table[a], a) for a in rule.alphas if math.isfinite(table[a])]
+        if not finite:
+            with pytest.raises(LineSearchFailedError):
+                rule.select(table.__getitem__)
+        else:
+            assert rule.select(table.__getitem__) == min(finite)[1]
+
 
 class TestQuadraticFit:
     def test_hand_solved_system(self):
@@ -258,6 +283,96 @@ class TestQuadraticFit:
                     break
             got = QuadraticFit(s).select(line)
             assert_allclose(got, vertex, rtol=1e-10)
+
+    # The two singular systems below run outside a run's errstate, under the
+    # suite's warnings-as-errors: the fit must fall back without a warning.
+    def test_underflowing_first_column_falls_back(self):
+        # 1e-200 squared underflows to zero, so the first column is all zero.
+        rule = QuadraticFit((0.0, 1e-200, 2e-200))
+        line = scalar_line(lambda t: (t - 1.0) ** 2)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(rule.vandermonde, [line(a) for a in rule.sample_alphas])
+        assert rule.select(line) == 1e-200  # the three probes tie at 1.0
+
+    def test_singular_fit_on_a_line_of_about_1e300_falls_back(self):
+        rule = QuadraticFit((1e-300, 2e-300, 3e-300))
+        line = scalar_line(lambda t: 1e300 * (t * 1e300 - 2.0) ** 2)
+        y = [line(a) for a in rule.sample_alphas]
+        assert y[0] > 1e299 and y[2] > 1e299 and y[1] < y[0]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(rule.vandermonde, y)
+        assert rule.select(line) == 2e-300
+
+    def test_coefficients_are_those_of_np_linalg_solve(self, monkeypatch):
+        # 100k seeded systems, half on the default rule's rows and half on
+        # rows of RandomQuadraticFit draws: the fit's coefficients equal
+        # np.linalg.solve's bit for bit, and so does the step taken from them.
+        real_solve1, solved = linesearch._solve1, []
+
+        def recording_solve1(rows, y, **kwargs):
+            solved.append(real_solve1(rows, y, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(linesearch, "_solve1", recording_solve1)
+        rng = np.random.default_rng(20)
+        default, drawn = QuadraticFit(), RandomQuadraticFit()
+        n = 100_000
+        centres = 10.0 ** rng.uniform(-5.0, 5.0, (n, 1))
+        ys = (centres * (1.0 + 10.0 ** rng.uniform(-12.0, 0.0, (n, 1))
+                         * rng.standard_normal((n, 3)))).tolist()
+        vertices = 0
+        for i, y in enumerate(ys):
+            if i % 2:
+                samples, rows = default.sample_alphas, default.vandermonde
+            else:
+                samples = drawn.draw(rng)
+                rows = [[a * a, a, 1.0] for a in samples]
+            probes = iter(y)
+            got = linesearch._parabola_step(lambda a: next(probes), samples, rows)
+            ref = np.linalg.solve(rows, y)
+            assert solved.pop().tobytes() == ref.tobytes()
+            a, b = float(ref[0]), float(ref[1])
+            if a > 1e-18 and 0.0 < -b / (2.0 * a) < math.inf:
+                assert got == -b / (2.0 * a)
+                vertices += 1
+            else:
+                assert got == min((v, s) for v, s in zip(y, samples) if s > 0.0)[1]
+        assert 0.3 * n < vertices < 0.7 * n
+
+
+def golden_or_none(lo, width, tol):
+    """GoldenSection(lo, lo + width, width * tol), or None where rounding refuses it."""
+    try:
+        return GoldenSection(lo, lo + width, width * tol)
+    except InvalidInputError:
+        return None
+
+
+def golden_reference(rule, line):
+    """GoldenSection.select with each width shrunk inside the loop, not read from a schedule."""
+    lo = rule.lo
+    width = rule.hi - rule.lo
+    c = lo + INV_PHI_SQ * width
+    d = lo + INV_PHI * width
+    yc = line(c)
+    yd = line(d)
+    y = yd if math.isfinite(yc) else yc  # the probe still to be tested
+    while math.isfinite(y) and width > rule.width_tol:
+        width *= INV_PHI
+        if yc < yd:
+            d = c
+            yd = yc
+            c = lo + INV_PHI_SQ * width
+            y = yc = line(c)
+        else:
+            lo = c
+            c = d
+            yc = yd
+            d = lo + INV_PHI * width
+            y = yd = line(d)
+    if math.isfinite(y):
+        return lo + 0.5 * width
+    raise LineSearchFailedError("phi is non-finite inside the golden-section bracket")
 
 
 class TestGoldenSection:
@@ -321,6 +436,39 @@ class TestGoldenSection:
         # The first two probes are made together; a shrink's probe is tested at once.
         finite = [math.isfinite(fn(t)) for t in probes]
         assert finite.count(False) == 1 and (len(probes) == 2 or not finite[-1])
+
+    def test_default_rule_makes_42_probes(self):
+        probes = []
+        phi = restrict(RosenbrockObjective(100.0), (-1.2, 1.0), (215.6, 88.0))
+        GoldenSection().select(lambda t: probes.append(t) or phi(t))
+        assert len(probes) == 42  # 2, then 40 shrinks of [1.24e-6, 1.5] to 1e-8
+
+    @SETTINGS
+    @given(st.one_of(
+               st.sampled_from((GoldenSection(), GoldenSection(0.0, 1.5, 5e-324))),
+               st.builds(golden_or_none, st.floats(min_value=0.0, max_value=1e3),
+                         st.floats(min_value=1e-300, max_value=1e3),
+                         st.floats(min_value=1e-15, max_value=0.99)).filter(bool)),
+           st.lists(st.one_of(st.sampled_from((math.nan, math.inf, -math.inf)), st.floats()),
+                    max_size=60),
+           st.floats(min_value=-2.0, max_value=2.0))
+    def test_select_is_the_multiplicative_loop(self, rule, values, centre):
+        # The probes read `values` in turn, then a parabola: result, probe
+        # sequence and raise match a loop that shrinks the width as it goes.
+        def outcome(select):
+            probes = []
+
+            def phi(t):
+                probes.append(t)
+                i = len(probes) - 1
+                return values[i] if i < len(values) else (t - centre) ** 2
+
+            try:
+                return select(phi), probes
+            except LineSearchFailedError:
+                return "raised", probes
+
+        assert outcome(rule.select) == outcome(lambda phi: golden_reference(rule, phi))
 
 
 class TestExactQuadratic:

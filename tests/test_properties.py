@@ -12,7 +12,10 @@ to the subnormals.  Every scalar argument that validation refuses (text, a
 bool, None, a complex number, nan, an infinity or a value out of range),
 every tuple field or point that is not a sequence (bytes, text, a set, a
 dict or an iterator among them) and every point of non-reals raises
-InvalidInputError and nothing else.  The valley's phi equals its
+InvalidInputError and nothing else.  Every rule's select on a restriction
+of the valley or a quadratic, through points and directions from the
+subnormals up to 1e308, returns a float or raises a package error, without
+a warning.  The valley's phi equals its
 fused f along the line bit for bit, or +inf where that overflows.  Every
 rule's label parses back to the rule, and every argv drawn from the
 command-line flags exits 0, 1 or 2 without a traceback or a warning.
@@ -36,7 +39,10 @@ from rosenbench import (
     ExperimentMatrix,
     Fixed,
     GoldenSection,
+    IncomparableVariantsError,
+    InvalidDirectionError,
     InvalidInputError,
+    LineSearchFailedError,
     QuadraticFit,
     QuadraticObjective,
     RandomQuadraticFit,
@@ -314,6 +320,32 @@ def test_refused_argument_raises_invalid_input_error_only(call, values, data):
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+
+PACKAGE_ERRORS = (IncomparableVariantsError, InvalidDirectionError, InvalidInputError,
+                  LineSearchFailedError)
+SELECT_OBJECTIVES = (
+    RosenbrockObjective(1.0), RosenbrockObjective(1e300), RosenbrockObjective(5e-324),
+    QuadraticObjective(np.eye(2), [0.0, 0.0]),
+    QuadraticObjective([[3.0, 1.0], [1.0, 2.0]], [1.0, -1.0]),
+)
+# Subnormals up to the largest magnitudes a point or a direction may take.
+coordinates = st.one_of(st.floats(min_value=-1e308, max_value=1e308),
+                        st.sampled_from((0.0, 5e-324, -5e-324, 1e308, -1e308)))
+
+
+@settings(SETTINGS, max_examples=300)
+@given(st.sampled_from(SELECT_OBJECTIVES), st.tuples(coordinates, coordinates),
+       st.tuples(coordinates, coordinates), st.one_of(step_rules(), st.just(ExactQuadratic())))
+def test_select_outside_a_run_returns_a_float_or_a_package_error(objective, x, d, rule):
+    # Outside a run's errstate, where the user calls a rule on restrict(), an
+    # overflow or a singular parabola fit must stay silent too.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            step = rule.select(restrict(objective, x, d))
+        except PACKAGE_ERRORS:
+            return
+    assert type(step) is float
 
 
 @SETTINGS
