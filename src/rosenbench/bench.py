@@ -25,7 +25,7 @@ from .linesearch import (
     VariableCandidates,
     fmt_real,
 )
-from .objectives import Matrix, RosenbrockObjective, _pair, as_vector, valley_value
+from .objectives import Matrix, RosenbrockObjective, as_vector, valley_value
 from .optimize import (
     RunResult,
     RunStatus,
@@ -43,7 +43,10 @@ def status_label(result: RunResult) -> str:
 
 
 def rule_label(rule: StepRule | None) -> str:
-    """Textual form of a step rule, "none" for Newton-Raphson's; `parse_rule` reads it back."""
+    """Textual form of a step rule, "none" for Newton-Raphson's.
+
+    `parse_rule` reads back every label but "none": Newton takes no rule.
+    """
     return "none" if rule is None else rule.label()
 
 
@@ -67,7 +70,7 @@ class ExperimentMatrix:
         for kappa in self.kappas:
             RosenbrockObjective(kappa)
         for start in self.starts:
-            as_vector(start, RosenbrockObjective.dim)
+            as_vector(start, RosenbrockObjective.dim, "start")
         # A policy of another type would get past construction and fail in the first cell.
         if not isinstance(self.policy, TerminationPolicy):
             raise InvalidInputError(f"policy must be a TerminationPolicy, got {self.policy!r}")
@@ -228,8 +231,8 @@ def contour_grid(
     Endpoints are included; grid values match scalar evaluation exactly.
     """
     check_count("resolution", resolution, 2)
-    x_lo, x_hi = _pair(x_range, "x_range")
-    y_lo, y_hi = _pair(y_range, "y_range")
+    x_lo, x_hi = as_vector(x_range, 2, "x_range").tolist()
+    y_lo, y_hi = as_vector(y_range, 2, "y_range").tolist()
     if not (x_hi > x_lo and y_hi > y_lo):
         raise InvalidInputError(f"degenerate grid ranges x={x_range}, y={y_range}")
     if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)):

@@ -274,7 +274,11 @@ class ExactQuadratic:
         return "exact-quadratic"
 
     def select(self, line: Line, rng=None) -> float:
-        """Exact minimizer -(g'd)/(d'Qd) of phi for a quadratic objective."""
+        """Exact minimizer -(g'd)/(d'Qd) of phi for a quadratic objective.
+
+        The step may be negative along a direction that climbs.  An overflow
+        of d'Qd or of g'd leaves no usable step and raises LineSearchFailedError.
+        """
         objective = getattr(line, "objective", None)  # a fused objective's phi has none
         if not isinstance(objective, QuadraticObjective):
             raise InvalidInputError("exact line minimization requires a QuadraticObjective")
@@ -285,8 +289,11 @@ class ExactQuadratic:
             if curvature <= 0.0:
                 raise InvalidDirectionError(
                     f"direction has nonpositive curvature d'Qd = {curvature}")
-            g = objective.gradient(line.x)
-            return -float(g @ d) / curvature
+            step = -float(objective.gradient(line.x) @ d) / curvature
+        # An infinite d'Qd turns any finite g'd into a step of zero.
+        if not (curvature < math.inf and -math.inf < step < math.inf):
+            raise LineSearchFailedError(f"no finite exact step: d'Qd = {curvature}, step {step}")
+        return step
 
 
 StepRule = Fixed | VariableCandidates | QuadraticFit | RandomQuadraticFit | GoldenSection | ExactQuadratic
@@ -363,7 +370,7 @@ def restrict(objective: Objective, x, d) -> Line:
     of reals, and InvalidDirectionError for a zero or non-finite direction.
     """
     x = as_vector(x, getattr(objective, "dim", None))
-    d = real_array(d)
+    d = real_array(d, "direction")
     if d.shape != x.shape:
         raise InvalidInputError(f"direction shape {d.shape} does not match point shape {x.shape}")
     if not np.isfinite(d).all():

@@ -54,59 +54,45 @@ class Objective(Protocol):
     def hessian(self, x: Vector) -> Matrix: ...
 
 
-def real_array(x) -> Vector:
-    """`x` as a float64 array; InvalidInputError unless numpy reads it as reals.
+def real_array(x, name: str = "array") -> Vector:
+    """`x` as a float64 array; InvalidInputError, whose message starts with `name`,
+    unless `x` is one of SEQUENCE_TYPES that numpy reads as reals.
 
-    Text, bytes, bools, complex numbers and None are refused.
+    Text, bytes, sets, dicts, iterators, bools, complex numbers and None are refused.
     """
+    if not isinstance(x, SEQUENCE_TYPES):
+        raise InvalidInputError(f"{name} must be an array of reals, got {x!r}")
     try:
         v = np.asarray(x)
     except ValueError as exc:  # a ragged nesting of sequences
-        raise InvalidInputError(f"expected an array of reals: {exc}") from None
-    # numpy reads a bytearray or a memoryview of bytes as its byte codes, and
-    # a sequence that mixes a bool with floats as floats; an ndarray, such as
-    # the iterate of the quadratic path, is not scanned.
-    mixed = v.ndim == 1 and not isinstance(x, np.ndarray) and any(
-        isinstance(e, (bool, np.bool_)) for e in x)
-    if isinstance(x, (bytearray, memoryview)) or mixed:
-        raise InvalidInputError(f"expected an array of reals, got {x!r}")
+        raise InvalidInputError(f"{name} must be an array of reals: {exc}") from None
+    # numpy reads a nesting that mixes a bool with floats as floats; an ndarray,
+    # such as the iterate of the quadratic path, is not scanned.
+    if v.ndim and not isinstance(x, np.ndarray) and any(
+            isinstance(e, (bool, np.bool_))
+            for e in (x if v.ndim == 1 else np.asarray(x, dtype=object).flat)):
+        raise InvalidInputError(f"{name} must be an array of reals, got {x!r}")
     if v.dtype != np.float64:  # the drivers' float64 iterates skip the kind check
         if v.dtype.kind not in "iuf":
-            raise InvalidInputError(f"expected an array of reals, got {x!r}")
+            raise InvalidInputError(f"{name} must be an array of reals, got {x!r}")
         v = v.astype(np.float64)
     return v
 
 
-def as_vector(x, dim: int | None = None) -> Vector:
+def as_vector(x, dim: int | None = None, name: str = "point") -> Vector:
     """Validate and convert `x` to a finite float64 vector.
 
-    Raises InvalidInputError on entries that are not finite reals, empty
-    input, or a dimension mismatch with `dim`.
+    Raises InvalidInputError, whose message starts with `name`, on entries
+    that are not finite reals, empty input, or a dimension mismatch with `dim`.
     """
-    v = real_array(x)
+    v = real_array(x, name)
     if v.ndim != 1 or v.size == 0:
-        raise InvalidInputError(f"expected a nonempty 1-d vector, got shape {v.shape}")
+        raise InvalidInputError(f"{name} must be a nonempty 1-d vector, got shape {v.shape}")
     if dim is not None and v.size != dim:
-        raise InvalidInputError(f"expected a vector of dimension {dim}, got {v.size}")
+        raise InvalidInputError(f"{name} must be a vector of dimension {dim}, got {v.size}")
     if not np.isfinite(v).all():
-        raise InvalidInputError(f"vector has non-finite components: {v}")
+        raise InvalidInputError(f"{name} has non-finite components: {v}")
     return v
-
-
-def _pair(p, name: str = "point coordinate") -> tuple[float, float]:
-    """Unpack a 2-vector of finite reals into floats; `name` is what a refusal calls each."""
-    if isinstance(p, np.ndarray):
-        p = p.tolist()
-    elif not isinstance(p, SEQUENCE_TYPES):
-        raise InvalidInputError(f"expected a 2-vector, got {p!r}")
-    try:
-        x1, x2 = p
-    except (TypeError, ValueError):  # a 0-d array, or not of length 2
-        raise InvalidInputError(f"expected a 2-vector, got {p!r}") from None
-    # Finite Python floats, the common case, skip the general check.
-    if type(x1) is float and type(x2) is float and math.isfinite(x1) and math.isfinite(x2):
-        return x1, x2
-    return check_real(name, x1, -math.inf), check_real(name, x2, -math.inf)
 
 
 def valley_value(kappa, x1, x2):
@@ -133,17 +119,17 @@ class RosenbrockObjective:
 
     def value(self, x) -> float:
         """kappa*(x1^2 - x2)^2 + (x1 - 1)^2; nonnegative, zero only at (1, 1)."""
-        x1, x2 = _pair(x)
+        x1, x2 = as_vector(x, 2).tolist()
         return self.value_and_gradient(x1, x2)[0]
 
     def gradient(self, x) -> Vector:
         """Analytic gradient: (4k*x1*(x1^2 - x2) + 2(x1 - 1), -2k*(x1^2 - x2))."""
-        x1, x2 = _pair(x)
+        x1, x2 = as_vector(x, 2).tolist()
         return np.array(self.value_and_gradient(x1, x2)[1:])
 
     def hessian(self, x) -> Matrix:
         """Analytic Hessian [[12k*x1^2 - 4k*x2 + 2, -4k*x1], [-4k*x1, 2k]]."""
-        x1, x2 = _pair(x)
+        x1, x2 = as_vector(x, 2).tolist()
         k = self.kappa
         off = -4.0 * k * x1
         return np.array([[12.0 * k * x1 * x1 - 4.0 * k * x2 + 2.0, off], [off, 2.0 * k]])
@@ -182,8 +168,8 @@ class QuadraticObjective:
     """
 
     def __init__(self, Q, b):
-        Q = np.asarray(Q, dtype=np.float64)
-        b = as_vector(b)
+        Q = real_array(Q, "Q")
+        b = as_vector(b, name="b")
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise InvalidInputError(f"Q must be square, got shape {Q.shape}")
         if Q.shape[0] != b.size:

@@ -159,7 +159,7 @@ def _descent_loop(
     """
     if isinstance(rule, ExactQuadratic) and not isinstance(objective, QuadraticObjective):
         raise InvalidInputError("the exact-quadratic rule requires a QuadraticObjective")
-    x = as_vector(x0, getattr(objective, "dim", None))
+    x = as_vector(x0, getattr(objective, "dim", None), "start")
     rng = np.random.default_rng(rule.seed) if isinstance(rule, RandomQuadraticFit) else None
     select = None if rule is None else rule.select
     fixed_alpha = rule.alpha if isinstance(rule, Fixed) else None

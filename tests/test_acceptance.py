@@ -23,6 +23,7 @@ from rosenbench import (
     GoldenSection,
     QuadraticFit,
     QuadraticObjective,
+    RandomQuadraticFit,
     RosenbrockObjective,
     RunStatus,
     TerminationPolicy,
@@ -41,6 +42,7 @@ from rosenbench import (
     trajectory_csv,
 )
 from rosenbench.bench import rule_label
+from rosenbench.linesearch import fmt_real
 
 GOLDENS = Path(__file__).resolve().parent.parent / "rosenperf" / "goldens"
 EPSILON = 1e-3
@@ -333,6 +335,39 @@ def test_matrix_bits_match_golden(rows):
     mismatched = [f"{g!r} != {w!r}" for g, w in zip(got, golden) if g != w]
     report("matrix bits (results CSV vs golden)", got == golden, "; ".join(mismatched[:2]))
     assert got == golden
+
+
+def linesearch_case(label: str):
+    """(kappa, start, rule, policy) of a linesearch golden row, rebuilt from its label.
+
+    A label reads "sd <rule> k=<kappa> x0=<x1>/<x2>"; a random quadfit rule
+    is "quadfit_random:<seed>", capped at 500 iterations.
+    """
+    _, rule, kappa, start = label.split(" ")
+    name, _, seed = rule.partition(":")
+    rules = {"variable": VariableCandidates(), "quadfit": QuadraticFit(), "golden": GoldenSection()}
+    policy = TerminationPolicy(max_iterations=500) if seed else TerminationPolicy()
+    return (float(kappa.removeprefix("k=")),
+            tuple(float(c) for c in start.removeprefix("x0=").split("/")),
+            RandomQuadraticFit(seed=int(seed)) if seed else rules[name], policy)
+
+
+def test_linesearch_bits_match_golden():
+    # The adaptive-rule runs of the benchmark's seed-0 golden, the start
+    # (-1.2, 1) and the seeded random quadfit rules among them.
+    golden = (GOLDENS / "linesearch-seed0.csv").read_text().splitlines()
+    got = []
+    for row in golden:
+        label = row.split(",", 1)[0]
+        kappa, start, rule, policy = linesearch_case(label)
+        r = steepest_descent(RosenbrockObjective(kappa), start, rule, policy,
+                             record_trajectory=False)
+        point = ";".join(fmt_real(c) for c in r.final_point)
+        got.append(f"{label},{r.status.value},{r.iterations},{fmt_real(r.final_value)},"
+                   f"{fmt_real(r.final_grad_norm)},{point}")
+    mismatched = [f"{g!r} != {w!r}" for g, w in zip(got, golden) if g != w]
+    report("linesearch bits (seed-0 rows vs golden)", got == golden, "; ".join(mismatched[:2]))
+    assert len(golden) == 30 and got == golden
 
 
 def emit_digests():

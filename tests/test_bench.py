@@ -128,6 +128,11 @@ class TestRunMethod:
             run_method(method, RosenbrockObjective(1.0), (2.0, 2.0), rule, TerminationPolicy(),
                        restart_period=restart_period)
 
+    def test_unknown_method_is_refused(self):
+        with pytest.raises(InvalidInputError, match="unknown method: 'bogus'"):
+            run_method("bogus", RosenbrockObjective(1.0), (2.0, 2.0), Fixed(0.1),
+                       TerminationPolicy())
+
 
 class TestStatusLabel:
     """One run ending in each RunStatus member, labelled as the README's CSV formats list."""
@@ -255,7 +260,7 @@ class TestContourGrid:
             contour_grid(1.0, (0.0, 1.0), (0.0, "1"), 3)
         # A range is a sequence or an array: bytes would read as (97, 98).
         for bad in (b"ab", bytearray(b"ab"), {2.0, 1.0}, {1.0: "a", 2.0: "b"}, iter((0.0, 1.0))):
-            with pytest.raises(InvalidInputError, match="^expected a 2-vector"):
+            with pytest.raises(InvalidInputError, match="^x_range must be"):
                 contour_grid(1.0, bad, (0.0, 1.0), 2)
 
 

@@ -66,6 +66,17 @@ class TestRestrict:
         with pytest.raises(InvalidInputError):
             restrict(RosenbrockObjective(1.0), (2.0, 2.0), (1.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("d", [(math.inf, 0.0), (1.0, -math.inf), (math.nan, 1.0)])
+    def test_nonfinite_direction_rejected(self, d):
+        with pytest.raises(InvalidDirectionError, match="^direction has non-finite"):
+            restrict(RosenbrockObjective(1.0), (2.0, 2.0), d)
+
+    @pytest.mark.parametrize("d", [("a", "b"), (True, 0.5), b"ab", {1.0, 2.0}],
+                             ids=["text", "mixed-bool", "bytes", "set"])
+    def test_direction_not_made_of_reals_is_named(self, d):
+        with pytest.raises(InvalidInputError, match="^direction must be an array of reals"):
+            restrict(RosenbrockObjective(1.0), (2.0, 2.0), d)
+
     def test_overflow_maps_to_inf(self):
         line = scalar_line(lambda t: math.exp(t))
         assert line(1e6) == math.inf
@@ -501,6 +512,17 @@ class TestExactQuadratic:
         line = restrict(RosenbrockObjective(1.0), (2.0, 2.0), (-1.0, 0.0))
         with pytest.raises(InvalidInputError):
             ExactQuadratic().select(line)
+
+    @pytest.mark.parametrize("x, d", [((1.0, 1.0), (1e200, 1e200)),
+                                      ((1e300, 1e300), (1e200, -1e308))])
+    def test_overflowing_curvature_has_no_step(self, x, d):
+        # d'Qd overflows to inf: the quotient would be a step of -0.0 that does
+        # not move, or nan where g'd overflows too.
+        line = restrict(QuadraticObjective(np.eye(2), [0.0, 0.0]), x, d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LineSearchFailedError):
+                ExactQuadratic().select(line)
 
 
 class TestRandomQuadraticFit:

@@ -1,13 +1,16 @@
 """Tests for the objective functions and finite-difference oracles."""
 
+import array
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from rosenbench import (
+    Fixed,
     GoldenSection,
     InvalidInputError,
     QuadraticObjective,
@@ -17,8 +20,8 @@ from rosenbench import (
     finite_diff_hessian,
     steepest_descent,
 )
-from rosenbench.errors import check_tuple
-from rosenbench.objectives import _pair, as_vector
+from rosenbench.errors import check_real, check_tuple
+from rosenbench.objectives import as_vector
 
 
 @pytest.mark.parametrize(
@@ -123,6 +126,26 @@ def test_value_and_gradient_and_line_are_the_override_points():
     assert points[0] == points[1] != points[2]
 
 
+@pytest.mark.parametrize("bad", [(Fraction(1, 2), 1.0), (2**70, 1.0), array.array("d", [1.0, 2.0])],
+                         ids=["fraction", "big-int", "array.array"])
+def test_point_methods_and_drivers_refuse_the_same_points(bad):
+    # One judge: a point the drivers refuse as a start is refused by value,
+    # gradient and hessian too, and each names what it judged.
+    valley = RosenbrockObjective(1.0)
+    for call in (valley.value, valley.gradient, valley.hessian):
+        with pytest.raises(InvalidInputError, match="^point must be an array of reals"):
+            call(bad)
+    with pytest.raises(InvalidInputError, match="^start must be an array of reals"):
+        steepest_descent(valley, bad, Fixed(0.1))
+
+
+def test_integer_beyond_the_float_range_refused():
+    with pytest.raises(InvalidInputError, match="^kappa must be positive and finite"):
+        check_real("kappa", 10**400)
+    with pytest.raises(InvalidInputError):
+        RosenbrockObjective(10**400)
+
+
 def test_wrong_dimension_rejected():
     with pytest.raises(InvalidInputError):
         RosenbrockObjective(1.0).value((1.0, 2.0, 3.0))
@@ -173,6 +196,27 @@ class TestQuadraticObjective:
     def test_indefinite_rejected(self):
         with pytest.raises(InvalidInputError):
             QuadraticObjective([[1.0, 0.0], [0.0, -1.0]], [0.0, 0.0])
+
+    @pytest.mark.parametrize("Q, reason", [
+        ("ab", "^Q must be an array of reals"),
+        ([[1.0, 0.0], [0.0]], "^Q must be an array of reals"),
+        ([[1 + 0j, 0], [0, 1]], "^Q must be an array of reals"),
+        ({1: 2}, "^Q must be an array of reals"),
+        ([[True, False], [False, True]], "^Q must be an array of reals"),
+        ([[2.0, True], [True, 2.0]], "^Q must be an array of reals"),
+        (np.ones((2, 3)), "^Q must be square"),
+        ([[math.inf, 0.0], [0.0, 1.0]], "^Q has non-finite entries"),
+        ([[1.0, 0.0], [0.0, math.nan]], "^Q has non-finite entries"),
+    ], ids=["text", "ragged", "complex", "dict", "bool", "mixed-bool", "not-square", "inf", "nan"])
+    def test_bad_Q_rejected(self, Q, reason):
+        with pytest.raises(InvalidInputError, match=reason):
+            QuadraticObjective(Q, [0.0, 0.0])
+
+    def test_bad_b_is_named(self):
+        with pytest.raises(InvalidInputError, match="^b has non-finite components"):
+            QuadraticObjective(np.eye(2), [0.0, math.inf])
+        with pytest.raises(InvalidInputError, match="^b must be an array of reals"):
+            QuadraticObjective(np.eye(2), "ab")
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -315,5 +359,5 @@ def test_pair_and_check_tuple_accept_the_same_containers(container, accepted):
             return False
         return True
 
-    assert accepts(_pair) is accepted
+    assert accepts(lambda c: as_vector(c, 2)) is accepted
     assert accepts(lambda c: check_tuple("field", c)) is accepted

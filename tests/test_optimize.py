@@ -295,6 +295,15 @@ class TestSteepestDescent:
         assert (r.status, r.iterations) == (RunStatus.DIVERGED_NONFINITE, 0)
         assert r.final_point.tolist() == [1e-170, 0.0]
 
+    @pytest.mark.parametrize("driver", [steepest_descent, fletcher_reeves_cg])
+    def test_curvature_overflow_ends_the_run(self, driver):
+        # At (1e60, 0) d = (-1e160, 0) and d'Qd = 1e100 * 1e320 overflows to inf,
+        # so the exact rule has no step; the run ends before a nan step.
+        q = QuadraticObjective(np.diag([1e100, 1.0]), [0.0, 0.0])
+        r = driver(q, (1e60, 0.0), ExactQuadratic(), TerminationPolicy(blowup_norm=math.inf))
+        assert (r.status, r.iterations) == (RunStatus.DIVERGED_NONFINITE, 0)
+        assert r.final_point.tolist() == [1e60, 0.0]
+
     def test_line_search_failure_maps_to_nonfinite_divergence(self):
         class WallObjective:
             def value(self, x):
