@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncomparableVariantsError, InvalidInputError, check_count, check_tuple
+from .errors import IncomparableVariantsError, InvalidInputError, check_count, check_real
 from .linesearch import (
     Fixed,
     GoldenSection,
@@ -25,7 +25,7 @@ from .linesearch import (
     VariableCandidates,
     fmt_real,
 )
-from .objectives import Matrix, RosenbrockObjective, as_vector, valley_value
+from .objectives import Matrix, RosenbrockObjective, as_vector, real_array, valley_value
 from .optimize import (
     RunResult,
     RunStatus,
@@ -62,15 +62,16 @@ class ExperimentMatrix:
     def __post_init__(self):
         """Refuse a bad field here, so that `run_matrix` never stops part-way.
 
-        The tuple fields are stored as tuples.  The step rules are built
-        once, here; `cells` hands them out.
-        """
-        for name in ("kappas", "starts", "fixed_alphas"):
-            object.__setattr__(self, name, check_tuple(name, getattr(self, name)))
-        for kappa in self.kappas:
-            RosenbrockObjective(kappa)
-        for start in self.starts:
-            as_vector(start, RosenbrockObjective.dim, "start")
+        Each field is read as a vector, `starts` as rows of two, and keeps the floats
+        its checks return.  The step rules are built once, here; `cells` hands them out."""
+        for name, each in (("kappas", "kappa"), ("fixed_alphas", "fixed step")):
+            reals = as_vector(getattr(self, name), name=name).tolist()
+            object.__setattr__(self, name, tuple(check_real(each, v) for v in reals))
+        starts = real_array(self.starts, "starts")
+        if starts.ndim != 2 or not starts.size:
+            raise InvalidInputError(f"starts must be nonempty rows of points, got {self.starts!r}")
+        starts = tuple(tuple(as_vector(s, 2, "start").tolist()) for s in starts)
+        object.__setattr__(self, "starts", starts)
         # A policy of another type would get past construction and fail in the first cell.
         if not isinstance(self.policy, TerminationPolicy):
             raise InvalidInputError(f"policy must be a TerminationPolicy, got {self.policy!r}")
@@ -183,13 +184,14 @@ def compare_sd_variants(
     IncomparableVariantsError naming the variant whose row is missing or
     did not converge.
     """
-    start = (float(start[0]), float(start[1]))
+    kappa = check_real("kappa", kappa)
+    start = tuple(as_vector(start, 2, "start").tolist())
     fixed_label = Fixed(fixed_alpha).label()
     counts: dict[str, int] = {}
     for variant in ("fixed", "variable", "quadratic-fit", "golden-section"):
         match = [
             r for r in rows
-            if r.method == "sd" and r.kappa == float(kappa) and r.x0 == start
+            if r.method == "sd" and r.kappa == kappa and r.x0 == start
             and (r.step_rule == fixed_label if variant == "fixed"
                  else r.step_rule.startswith(_VARIANT_PREFIXES[variant]))
         ]

@@ -1,12 +1,22 @@
-"""Exception types shared across the package, and its internal checks of scalar arguments."""
+"""Exception types shared across the package, and its internal checks of arguments:
+`is_real` is the one rule for a real, `SEQUENCE_TYPES` the one for what holds reals."""
 
 import math
 import numbers
 
 import numpy as np
 
-#: Containers of a point, a range or a tuple field; bytes, a set, a dict or an iterator is not.
+#: Containers of a point, a range, a vector field or a row; bytes, a set or a dict is not.
 SEQUENCE_TYPES = (tuple, list, range, np.ndarray)
+
+
+def is_real(value) -> bool:
+    """Not a container, text or array (0-d ones too), and read by numpy as a 0-d integer or
+    float: a bool, a Fraction, a Decimal, an int beyond 64 bits, None or a complex is not."""
+    if hasattr(value, "__len__"):
+        return False
+    v = np.asarray(value)
+    return v.ndim == 0 and v.dtype.kind in "iuf"
 
 
 class InvalidInputError(ValueError):
@@ -26,13 +36,9 @@ class IncomparableVariantsError(RuntimeError):
 
 
 def check_real(name: str, value, low: float = 0.0, *, closed=False, inf_ok=False) -> float:
-    """`value` as a float: a real number, not a bool, above `low` (or at it when
-    `closed`) and finite (or +inf when `inf_ok`); else InvalidInputError."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    try:
-        v = float(value) if real else math.nan
-    except OverflowError:  # an integer beyond the float range
-        v = math.nan
+    """`value` as a float: a real (see is_real) above `low` (or at it when `closed`)
+    and finite (or +inf when `inf_ok`); else InvalidInputError."""
+    v = float(value) if is_real(value) else math.nan
     if (v >= low if closed else v > low) and (inf_ok or v < math.inf):
         return v
     bound = f">= {low}" if closed else "positive" if low == 0.0 else f"> {low}"
@@ -45,10 +51,3 @@ def check_count(name: str, value, low: int) -> int:
         return int(value)
     raise InvalidInputError(f"{name} must be an integer >= {low}, got {value!r}")
 
-
-def check_tuple(name: str, value) -> tuple:
-    """`value` as a tuple: one of SEQUENCE_TYPES (an array of at least one dimension), whose
-    elements the caller checks.  Anything else is InvalidInputError."""
-    if isinstance(value, SEQUENCE_TYPES) and getattr(value, "ndim", 1):
-        return tuple(value)
-    raise InvalidInputError(f"{name} must be a sequence, got {value!r}")

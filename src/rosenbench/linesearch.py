@@ -30,7 +30,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .errors import (InvalidDirectionError, InvalidInputError, LineSearchFailedError,
-                     check_count, check_real, check_tuple)
+                     check_count, check_real)
 from .objectives import Objective, QuadraticObjective, as_vector, real_array
 
 # Golden ratio conjugate: bracket width shrinks by this factor per probe.
@@ -80,9 +80,7 @@ class VariableCandidates:
 
     def __post_init__(self):
         alphas = tuple(check_real("candidate steps", a)
-                       for a in check_tuple("candidate steps", self.alphas))
-        if not alphas:
-            raise InvalidInputError("candidate list must be nonempty")
+                       for a in as_vector(self.alphas, name="candidate steps").tolist())
         object.__setattr__(self, "alphas", alphas)
 
     def label(self) -> str:
@@ -142,9 +140,7 @@ class QuadraticFit:
 
     def __post_init__(self):
         samples = tuple(check_real("sample abscissae", a, closed=True)
-                        for a in check_tuple("sample abscissae", self.sample_alphas))
-        if len(samples) != 3:
-            raise InvalidInputError(f"exactly three sample abscissae required, got {len(samples)}")
+                        for a in as_vector(self.sample_alphas, 3, "sample abscissae").tolist())
         if len(set(samples)) != 3:
             raise InvalidInputError(f"sample abscissae must be pairwise distinct: {samples}")
         object.__setattr__(self, "sample_alphas", samples)

@@ -20,7 +20,7 @@ from typing import Protocol
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import SEQUENCE_TYPES, InvalidInputError, check_real
+from .errors import SEQUENCE_TYPES, InvalidInputError, check_real, is_real
 
 Vector = NDArray[np.float64]
 Matrix = NDArray[np.float64]
@@ -54,29 +54,29 @@ class Objective(Protocol):
     def hessian(self, x: Vector) -> Matrix: ...
 
 
-def real_array(x, name: str = "array") -> Vector:
-    """`x` as a float64 array; InvalidInputError, whose message starts with `name`,
-    unless `x` is one of SEQUENCE_TYPES that numpy reads as reals.
+def _holds_reals(x) -> bool:
+    # An ndarray of integer or float dtype and at least one dimension, or another of
+    # SEQUENCE_TYPES whose every entry is a real (errors.is_real) or holds reals in turn.
+    if isinstance(x, np.ndarray):
+        return x.ndim > 0 and x.dtype.kind in "iuf"
+    return isinstance(x, SEQUENCE_TYPES) and all(is_real(e) or _holds_reals(e) for e in x)
 
-    Text, bytes, sets, dicts, iterators, bools, complex numbers and None are refused.
-    """
+
+def real_array(x, name: str = "array") -> Vector:
+    """`x` as a float64 array; InvalidInputError, whose message starts with `name`, unless
+    `x` and its rows are SEQUENCE_TYPES and its entries reals (errors.is_real).  So text,
+    bytes, sets, dicts, iterators, bools, 0-d arrays, complex numbers and None are refused
+    as entries, rows or `x`, and so is a ragged nesting.  A float64 ndarray, such as a
+    driver's iterate, is returned as it is, unchecked."""
     if not isinstance(x, SEQUENCE_TYPES):
         raise InvalidInputError(f"{name} must be an array of reals, got {x!r}")
     try:
         v = np.asarray(x)
-    except ValueError as exc:  # a ragged nesting of sequences
+    except ValueError as exc:  # a ragged nesting, or one deeper than numpy reads
         raise InvalidInputError(f"{name} must be an array of reals: {exc}") from None
-    # numpy reads a nesting that mixes a bool with floats as floats; an ndarray,
-    # such as the iterate of the quadratic path, is not scanned.
-    if v.ndim and not isinstance(x, np.ndarray) and any(
-            isinstance(e, (bool, np.bool_))
-            for e in (x if v.ndim == 1 else np.asarray(x, dtype=object).flat)):
+    if not (v is x and v.dtype == np.float64 or _holds_reals(x)):
         raise InvalidInputError(f"{name} must be an array of reals, got {x!r}")
-    if v.dtype != np.float64:  # the drivers' float64 iterates skip the kind check
-        if v.dtype.kind not in "iuf":
-            raise InvalidInputError(f"{name} must be an array of reals, got {x!r}")
-        v = v.astype(np.float64)
-    return v
+    return v if v.dtype == np.float64 else v.astype(np.float64)
 
 
 def as_vector(x, dim: int | None = None, name: str = "point") -> Vector:
@@ -226,6 +226,8 @@ def finite_diff_gradient(f: Objective, p, h: float = DEFAULT_GRADIENT_STEP) -> V
 def finite_diff_hessian(f: Objective, p, h: float = DEFAULT_HESSIAN_STEP) -> Matrix:
     """Central second-difference Hessian oracle, symmetrized with its transpose."""
     h = check_real("finite-difference step", h)
+    if h * h == 0.0:  # the divisor
+        raise InvalidInputError(f"finite-difference step {h!r} is so small that h*h is zero")
     x = as_vector(p)
     n = x.size
     H = np.empty((n, n))

@@ -10,17 +10,19 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rosenbench import (
+    ExperimentMatrix,
     Fixed,
     GoldenSection,
     InvalidInputError,
     QuadraticObjective,
     RosenbrockObjective,
     TerminationPolicy,
+    VariableCandidates,
     finite_diff_gradient,
     finite_diff_hessian,
     steepest_descent,
 )
-from rosenbench.errors import check_real, check_tuple
+from rosenbench.errors import check_real
 from rosenbench.objectives import as_vector
 
 
@@ -139,6 +141,28 @@ def test_point_methods_and_drivers_refuse_the_same_points(bad):
         steepest_descent(valley, bad, Fixed(0.1))
 
 
+@pytest.mark.parametrize("bad", [np.array(True), np.array(0.5), Fraction(1, 2), 2**70],
+                         ids=["0-d-bool", "0-d-float", "fraction", "big-int"])
+def test_every_judge_reads_a_real_alike(bad):
+    # One rule for a real: a scalar, a vector field's element, a point, a start and an
+    # entry of Q refuse the same values.
+    valley = RosenbrockObjective(1.0)
+    for call in (lambda: check_real("kappa", bad), lambda: VariableCandidates((0.1, bad)),
+                 lambda: ExperimentMatrix(kappas=(1.0, bad)), lambda: valley.value((bad, 2.0)),
+                 lambda: steepest_descent(valley, (bad, 2.0), Fixed(0.1)),
+                 lambda: QuadraticObjective([[bad, 0.0], [0.0, 1.0]], [0.0, 0.0])):
+        with pytest.raises(InvalidInputError):
+            call()
+
+
+def test_largest_64_bit_integers_are_reals():
+    # numpy holds 2**63 as a uint64 and -2**63 as an int64.
+    for big in (2**63, -2**63):
+        assert check_real("kappa", abs(big)) == float(abs(big))
+        assert as_vector((big, 1.0)).tolist() == [float(big), 1.0]
+        assert VariableCandidates((abs(big),)).alphas == (float(abs(big)),)
+
+
 def test_integer_beyond_the_float_range_refused():
     with pytest.raises(InvalidInputError, match="^kappa must be positive and finite"):
         check_real("kappa", 10**400)
@@ -204,10 +228,14 @@ class TestQuadraticObjective:
         ({1: 2}, "^Q must be an array of reals"),
         ([[True, False], [False, True]], "^Q must be an array of reals"),
         ([[2.0, True], [True, 2.0]], "^Q must be an array of reals"),
+        ([[np.array(True), 0.0], [0.0, 1.0]], "^Q must be an array of reals"),
+        ([[2.0, 0.0], bytearray(b"\x00\x02")], "^Q must be an array of reals"),
+        ([[2.0, 0.0], memoryview(b"\x00\x02")], "^Q must be an array of reals"),
         (np.ones((2, 3)), "^Q must be square"),
         ([[math.inf, 0.0], [0.0, 1.0]], "^Q has non-finite entries"),
         ([[1.0, 0.0], [0.0, math.nan]], "^Q has non-finite entries"),
-    ], ids=["text", "ragged", "complex", "dict", "bool", "mixed-bool", "not-square", "inf", "nan"])
+    ], ids=["text", "ragged", "complex", "dict", "bool", "mixed-bool", "0-d-bool", "bytearray-row",
+        "memoryview-row", "not-square", "inf", "nan"])
     def test_bad_Q_rejected(self, Q, reason):
         with pytest.raises(InvalidInputError, match=reason):
             QuadraticObjective(Q, [0.0, 0.0])
@@ -344,14 +372,15 @@ class TestInvariants:
             assert H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0] == 0.0
 
 
-# Containers of two valid reals: which count as a sequence is decided once, for both.
+# Containers of two valid reals: which count as a sequence is decided once, for a point
+# and for each vector field alike.
 @pytest.mark.parametrize("container, accepted", [
     ((1.0, 2.0), True), ([1.0, 2.0], True), (range(1, 3), True), (np.array([1.0, 2.0]), True),
     (b"ab", False), (bytearray(b"ab"), False), (memoryview(b"ab"), False), ("12", False),
     ({1.0, 2.0}, False), (frozenset((1.0, 2.0)), False), ({1.0: "a", 2.0: "b"}, False),
     (iter((1.0, 2.0)), False), ((x for x in (1.0, 2.0)), False), (np.array(1.0), False),
 ])
-def test_pair_and_check_tuple_accept_the_same_containers(container, accepted):
+def test_as_vector_and_vector_fields_accept_the_same_containers(container, accepted):
     def accepts(check):
         try:
             check(container)
@@ -360,4 +389,5 @@ def test_pair_and_check_tuple_accept_the_same_containers(container, accepted):
         return True
 
     assert accepts(lambda c: as_vector(c, 2)) is accepted
-    assert accepts(lambda c: check_tuple("field", c)) is accepted
+    assert accepts(VariableCandidates) is accepted
+    assert accepts(lambda c: ExperimentMatrix(kappas=c)) is accepted

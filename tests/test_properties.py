@@ -9,7 +9,8 @@ without a warning and with the same bits on a repeat run -- and report
 same holds on quadratics 0.5 x'Qx - x'b of dimension up to 6, whose SPD Q
 is drawn from a seeded spectrum and whose start and b span magnitudes down
 to the subnormals.  Every scalar argument that validation refuses (text, a
-bool, None, a complex number, nan, an infinity or a value out of range),
+bool, None, a complex number, a 0-d array, a Fraction, an integer beyond
+64 bits, nan, an infinity or a value out of range),
 every tuple field or point that is not a sequence (bytes, text, a set, a
 dict or an iterator among them) and every point of non-reals raises
 InvalidInputError and nothing else.  Every rule's select on a restriction
@@ -28,6 +29,7 @@ import io
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -50,6 +52,7 @@ from rosenbench import (
     RunStatus,
     TerminationPolicy,
     VariableCandidates,
+    compare_sd_variants,
     contour_grid,
     finite_diff_gradient,
     finite_diff_hessian,
@@ -206,11 +209,13 @@ def test_label_parses_back_to_the_rule(rule):
 
 
 def bad_reals(out_of_range, inf_ok=False):
-    """What a real parameter refuses: text, bools, None, complex numbers, nan,
+    """What a real parameter refuses: text, bools, None, complex numbers, 0-d arrays
+    (bool or float), a Fraction, an integer that numpy holds in no 64-bit type, nan,
     the infinities (but +inf where `inf_ok`) and its `out_of_range` reals."""
     infinities = (-math.inf,) if inf_ok else (-math.inf, math.inf)
+    not_reals = (np.array(True), np.array(0.5), Fraction(1, 2), 2**70, -2**63 - 1)
     return st.one_of(st.text(max_size=8), st.booleans(), st.none(), st.complex_numbers(),
-                     st.sampled_from((math.nan,) + infinities), out_of_range)
+                     st.sampled_from(not_reals + (math.nan,) + infinities), out_of_range)
 
 
 def bad_counts(low, none_ok=False):
@@ -284,8 +289,15 @@ REFUSALS = {
         bad_counts(1, none_ok=True)),
     "finite_diff_gradient.h": (lambda v: finite_diff_gradient(valley, (2.0, 2.0), v),
                                bad_reals(not_positive)),
+    # Below about 1.57e-162, h*h, the divisor, is zero.
     "finite_diff_hessian.h": (lambda v: finite_diff_hessian(valley, (2.0, 2.0), v),
-                              bad_reals(not_positive)),
+                              bad_reals(st.floats(max_value=1.5e-162))),
+    # Rows are never looked at: the arguments are judged first.
+    "compare_sd_variants.kappa": (lambda v: compare_sd_variants([], v, (2.0, 2.0)),
+                                  bad_reals(not_positive)),
+    "compare_sd_variants.start": (lambda v: compare_sd_variants([], 1.0, v),
+                                  st.one_of(st.sampled_from(("22", (2.0,), (2.0, 2.0, 7.0))),
+                                            bad_points, non_sequences)),
     "steepest_descent.x0": (lambda v: steepest_descent(valley, v, Fixed(0.1)), bad_points),
     "fletcher_reeves_cg.x0": (lambda v: fletcher_reeves_cg(valley, v, Fixed(0.1)), bad_points),
     "newton_raphson.x0": (lambda v: newton_raphson(valley, v), bad_points),
