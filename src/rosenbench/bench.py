@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .optimize import (
     RunResult,
     RunStatus,
     TerminationPolicy,
+    _Trajectory,
     fletcher_reeves_cg,
     newton_raphson,
     steepest_descent,
@@ -253,7 +255,7 @@ RESULTS_HEADER = "method,step_rule,kappa,x0_1,x0_2,status,iterations,final_f,fin
 # Every CSV real is "%.17g", which formats as fmt_real does; a writer builds its row
 # template once and fills a whole block of rows with one `%`.
 _RESULTS_ROW = "%s,%s,%.17g,%.17g,%.17g,%s,%d,%.17g,%.17g,%.17g\n"
-_TRAJECTORY_BLOCK = 1024  # records per `%`, so no argument tuple spans a long run
+_TRAJECTORY_BLOCK = 1024  # rows per `%`, so no argument tuple spans a long run
 
 
 def results_csv(rows: list[ResultRow]) -> str:
@@ -266,19 +268,24 @@ def results_csv(rows: list[ResultRow]) -> str:
 
 
 def trajectory_csv(result: RunResult) -> str:
-    """Iterate history as CSV, one coordinate column per dimension of `final_point`."""
+    """Iterate history as CSV, one coordinate column per dimension of `final_point`.
+
+    A run's trajectory is written from its rows, without building its records."""
     dim = len(result.final_point)
-    parts = ["k," + ",".join(f"x{i + 1}" for i in range(dim)) + ",f,grad_norm,alpha\n"]
-    row = "%d," + "%.17g," * dim + "%.17g,%.17g,%.17g\n"
-    for start in range(0, len(result.trajectory), _TRAJECTORY_BLOCK):
-        block = result.trajectory[start:start + _TRAJECTORY_BLOCK]
-        fields = []
-        for rec in block:
+    if isinstance(result.trajectory, _Trajectory):
+        rows = result.trajectory.rows
+    else:
+        rows = []
+        for rec in result.trajectory:
             point = rec.point.tolist()
             if len(point) != dim:
                 raise InvalidInputError(f"record {rec.k} has {len(point)} coordinates, not {dim}")
-            fields += (rec.k, *point, rec.value, rec.grad_norm, rec.alpha_used)
-        parts.append(row * len(block) % tuple(fields))
+            rows.append((rec.k, *point, rec.value, rec.grad_norm, rec.alpha_used))
+    parts = ["k," + ",".join(f"x{i + 1}" for i in range(dim)) + ",f,grad_norm,alpha\n"]
+    row = "%d," + "%.17g," * dim + "%.17g,%.17g,%.17g\n"
+    for start in range(0, len(rows), _TRAJECTORY_BLOCK):
+        block = rows[start:start + _TRAJECTORY_BLOCK]
+        parts.append(row * len(block) % tuple(chain.from_iterable(block)))
     return "".join(parts)
 
 

@@ -211,10 +211,19 @@ class QuadraticObjective:
         return np.linalg.solve(self.Q, self.b)
 
 
-def finite_diff_gradient(f: Objective, p, h: float = DEFAULT_GRADIENT_STEP) -> Vector:
-    """Central-difference gradient oracle: (f(p + h e_i) - f(p - h e_i)) / (2h)."""
+def _moving_step(p, h) -> tuple[Vector, float]:
+    """`p` as a vector and `h` as a float; InvalidInputError unless each p_i + h and
+    p_i - h differ from p_i, since a step lost in rounding reads as a zero derivative."""
     h = check_real("finite-difference step", h)
     x = as_vector(p)
+    if ((x + h == x) | (x - h == x)).any():
+        raise InvalidInputError(f"finite-difference step {h!r} is lost in rounding at {x.tolist()}")
+    return x, h
+
+
+def finite_diff_gradient(f: Objective, p, h: float = DEFAULT_GRADIENT_STEP) -> Vector:
+    """Central-difference gradient oracle: (f(p + h e_i) - f(p - h e_i)) / (2h)."""
+    x, h = _moving_step(p, h)
     g = np.empty(x.size)
     for i in range(x.size):
         step = np.zeros(x.size)
@@ -225,10 +234,9 @@ def finite_diff_gradient(f: Objective, p, h: float = DEFAULT_GRADIENT_STEP) -> V
 
 def finite_diff_hessian(f: Objective, p, h: float = DEFAULT_HESSIAN_STEP) -> Matrix:
     """Central second-difference Hessian oracle, symmetrized with its transpose."""
-    h = check_real("finite-difference step", h)
+    x, h = _moving_step(p, h)
     if h * h == 0.0:  # the divisor
         raise InvalidInputError(f"finite-difference step {h!r} is so small that h*h is zero")
-    x = as_vector(p)
     n = x.size
     H = np.empty((n, n))
     f0 = f.value(x)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -84,14 +85,16 @@ class IterateRecord:
 
 @dataclass(eq=False)
 class RunResult:
-    """Outcome of one optimizer run with its recorded trajectory."""
+    """Outcome of one optimizer run with its recorded trajectory.
+
+    A run's `trajectory` builds its IterateRecords from flat rows when it is first read."""
 
     status: RunStatus
     iterations: int
     final_point: Vector
     final_value: float
     final_grad_norm: float
-    trajectory: list[IterateRecord] = field(default_factory=list)
+    trajectory: Sequence[IterateRecord] = field(default_factory=list)
 
 
 def fletcher_reeves_beta(g_next, g, gg_next: float, gg: float) -> float:
@@ -107,28 +110,43 @@ def fletcher_reeves_beta(g_next, g, gg_next: float, gg: float) -> float:
     return gg_next / gg
 
 
-def _finish(trajectory, status, k, x, f, gn, alpha) -> RunResult:
-    """Record the final iterate (unless it already is the last record) and close the run."""
-    if not trajectory or trajectory[-1].k != k:
-        trajectory.append(IterateRecord(k, np.array(x), f, gn, alpha))
-    return RunResult(status, k, np.array(x), f, gn, trajectory)
+class _Trajectory(Sequence):
+    """A run's flat rows (k, *point, value, grad_norm, alpha_used) as IterateRecords, each
+    with a float64 ndarray point, built all at once when first indexed or iterated."""
+
+    def __init__(self, rows: list[tuple]):
+        self.rows, self._records = rows, None
+
+    def __len__(self) -> int:
+        return len(self.rows)  # builds no record
+
+    def __getitem__(self, i):
+        if self._records is None:
+            self._records = [IterateRecord(r[0], np.array(r[1:-3]), *r[-3:]) for r in self.rows]
+        return self._records[i]
+
+    def __repr__(self) -> str:
+        return repr(self[:])
 
 
-def _judge(trajectory, record, k, x, xn, f, gn, alpha, policy) -> RunResult | None:
-    """Record iterate k if asked (the start always), and close the run if a test ends it there."""
-    if record or k == 0:
-        trajectory.append(IterateRecord(k, np.array(x), f, gn, alpha))
+def _finish(rows, status, k, point, f, gn, alpha) -> RunResult:
+    """Add the final row (unless it already is the last one) and close the run."""
+    if not rows or rows[-1][0] != k:
+        rows.append((k, *point, f, gn, alpha))
+    return RunResult(status, k, np.array(point), f, gn, _Trajectory(rows))
+
+
+def _judge(k, xn, f, gn, policy) -> RunStatus | None:
+    """The status that ends the run at iterate k, or None if no test ends it there."""
     if gn <= policy.epsilon:
-        status = RunStatus.CONVERGED
-    elif xn > policy.blowup_norm:
-        status = RunStatus.DIVERGED_BLOWUP
-    elif not (math.isfinite(xn) and math.isfinite(f)):
-        status = RunStatus.DIVERGED_NONFINITE
-    elif k == policy.max_iterations:
-        status = RunStatus.MAX_ITERATIONS
-    else:
-        return None
-    return _finish(trajectory, status, k, x, f, gn, alpha)
+        return RunStatus.CONVERGED
+    if xn > policy.blowup_norm:
+        return RunStatus.DIVERGED_BLOWUP
+    if not (math.isfinite(xn) and math.isfinite(f)):
+        return RunStatus.DIVERGED_NONFINITE
+    if k == policy.max_iterations:
+        return RunStatus.MAX_ITERATIONS
+    return None
 
 
 def _guard_edge(blowup: float) -> float:
@@ -175,17 +193,16 @@ def _descent_loop(
 def _pair_loop(objective, x, policy, record, select, rng, fixed_alpha, period) -> RunResult:
     """_descent_loop under SD or CG on a fused objective, with x, g and d as floats.
 
-    An unrecorded iterate other than the start and the cap skips _judge when it is inside
-    the box of _guard_edge, its value is finite and a gradient component lies outside
-    [-epsilon, epsilon], which no gradient of norm <= epsilon has.
+    An iterate other than the start and the cap skips _judge when it is inside the box of
+    _guard_edge, its value is finite and a gradient component lies outside [-epsilon,
+    epsilon], which no gradient of norm <= epsilon has.
     """
     fg, along, hypot = objective.value_and_gradient, objective.line, math.hypot
     eps, edge, inf = policy.epsilon, _guard_edge(policy.blowup_norm), math.inf
     low, neg_eps, neg_inf = -edge, -eps, -inf
-    unjudged = 0 if record else policy.max_iterations  # 0 < k < unjudged may skip _judge
-    conjugate = period != 1
+    cap, conjugate = policy.max_iterations, period != 1
     x1, x2 = x.tolist()
-    trajectory: list[IterateRecord] = []
+    rows: list[tuple] = []
     alpha = 0.0  # the step that produced (x1, x2)
     g_prev = gg_prev = d1 = d2 = None
     k = 0
@@ -197,13 +214,15 @@ def _pair_loop(objective, x, policy, record, select, rng, fixed_alpha, period) -
             f, g1, g2 = fg(x1, x2)
         except (InvalidInputError, OverflowError):
             # The iterate is not finite, or the objective refused it.
-            return _finish(trajectory, RunStatus.DIVERGED_NONFINITE, k, (x1, x2), math.nan,
-                           math.nan, alpha)
-        if (not (inside and 0 < k < unjudged and neg_inf < f < inf)
+            return _finish(rows, RunStatus.DIVERGED_NONFINITE, k, (x1, x2), math.nan, math.nan,
+                           alpha)
+        if record or not k:
+            rows.append((k, x1, x2, f, hypot(g1, g2), alpha))
+        if (not (inside and 0 < k < cap and neg_inf < f < inf)
                 or neg_eps <= g1 <= eps and neg_eps <= g2 <= eps):
-            if done := _judge(trajectory, record, k, (x1, x2), hypot(x1, x2), f, hypot(g1, g2),
-                              alpha, policy):
-                return done
+            gn = hypot(g1, g2)
+            if status := _judge(k, hypot(x1, x2), f, gn, policy):
+                return _finish(rows, status, k, (x1, x2), f, gn, alpha)
         if conjugate:
             # np.dot, not a Python sum of squares: the pinned CG results
             # rest on its rounding, that of an fma on 2-vectors where the
@@ -225,8 +244,8 @@ def _pair_loop(objective, x, policy, record, select, rng, fixed_alpha, period) -
                 alpha = select(along((x1, x2), (d1, d2)), rng)
             except (LineSearchFailedError, InvalidDirectionError):
                 # No finite step, or no positive curvature along the line.
-                return _finish(trajectory, RunStatus.DIVERGED_NONFINITE, k, (x1, x2), f,
-                               hypot(g1, g2), alpha)
+                return _finish(rows, RunStatus.DIVERGED_NONFINITE, k, (x1, x2), f, hypot(g1, g2),
+                               alpha)
         if conjugate:
             x1, x2 = x1 + alpha * d1, x2 + alpha * d2
         else:
@@ -237,7 +256,7 @@ def _pair_loop(objective, x, policy, record, select, rng, fixed_alpha, period) -
 def _array_loop(objective, x, policy, record, select, rng, fixed_alpha, period) -> RunResult:
     """_descent_loop on ndarrays: value and gradient, then hessian or a LineRestriction."""
     newton, conjugate = select is None, period != 1
-    trajectory: list[IterateRecord] = []
+    rows: list[tuple] = []
     alpha = 0.0  # the step that produced x
     g_prev = gg_prev = d = None
     k = 0
@@ -250,17 +269,20 @@ def _array_loop(objective, x, policy, record, select, rng, fixed_alpha, period) 
             gn = math.hypot(*g)
         except (InvalidInputError, OverflowError):
             # The iterate is not finite, or the objective refused it.
-            return _finish(trajectory, RunStatus.DIVERGED_NONFINITE, k, x, math.nan, math.nan,
+            return _finish(rows, RunStatus.DIVERGED_NONFINITE, k, x.tolist(), math.nan, math.nan,
                            alpha)
-        if done := _judge(trajectory, record, k, x, xn, f, gn, alpha, policy):
-            return done
+        if record or not k:
+            rows.append((k, *x.tolist(), f, gn, alpha))
+        if status := _judge(k, xn, f, gn, policy):
+            return _finish(rows, status, k, x.tolist(), f, gn, alpha)
         if newton:
             H = objective.hessian(x)
             # Singular where |det H| <= 1e-12 * scale^n, tested on H/scale to avoid overflow.
             scale = float(np.linalg.norm(H, "fro"))
             if (not (math.isfinite(scale) and scale > 0.0)
                     or abs(float(np.linalg.det(H / scale))) <= 1e-12):
-                return _finish(trajectory, RunStatus.DIVERGED_SINGULAR_HESSIAN, k, x, f, gn, alpha)
+                return _finish(rows, RunStatus.DIVERGED_SINGULAR_HESSIAN, k, x.tolist(), f, gn,
+                               alpha)
             x = x - np.linalg.solve(H, g)
             k += 1
             continue
@@ -276,7 +298,7 @@ def _array_loop(objective, x, policy, record, select, rng, fixed_alpha, period) 
             try:
                 alpha = select(LineRestriction(objective, x, d), rng)
             except (LineSearchFailedError, InvalidDirectionError):
-                return _finish(trajectory, RunStatus.DIVERGED_NONFINITE, k, x, f, gn, alpha)
+                return _finish(rows, RunStatus.DIVERGED_NONFINITE, k, x.tolist(), f, gn, alpha)
         x = x + alpha * d if conjugate else x - alpha * g
         k += 1
 

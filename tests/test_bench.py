@@ -1,5 +1,6 @@
 """Tests for the benchmark matrix, contour grid, and CSV emission."""
 
+import hashlib
 import math
 import warnings
 
@@ -33,6 +34,7 @@ from rosenbench import (
     steepest_descent,
     trajectory_csv,
 )
+from rosenbench import optimize
 from rosenbench.bench import RESULTS_HEADER, rule_label, run_cell, run_method, status_label
 
 SMALL = ExperimentMatrix(kappas=(1.0,), starts=((2.0, 2.0),), fixed_alphas=(0.0124,))
@@ -404,3 +406,70 @@ class TestCsvBytes:
         trajectory[at] = IterateRecord(at, np.zeros(dim), 0.0, 0.0, 0.0)
         with pytest.raises(InvalidInputError, match=f"record {at} has {dim} coordinates, not 2"):
             trajectory_csv(run_result(trajectory, 2))
+
+
+def records_digest(result):
+    """A digest of every record's k, point dtype and bytes, value, grad_norm and alpha_used."""
+    h = hashlib.sha256()
+    for r in result.trajectory:
+        fields = np.array((r.value, r.grad_norm, r.alpha_used), dtype=np.float64).tobytes()
+        h.update(repr((r.k, r.point.dtype.str, r.point.tobytes(), fields)).encode())
+    return h.hexdigest()[:16]
+
+
+Q7 = QuadraticObjective(np.diag(np.geomspace(1.0, 1e3, 7)), np.arange(7.0))
+NO_BLOWUP = TerminationPolicy(blowup_norm=math.inf)
+
+
+class TestRecordsBuiltWhenRead:
+    """A run records flat rows, trajectory_csv writes them, and records are built on reading.
+
+    Each digest is that of the records which runs built, one per iterate, before rows."""
+
+    CASES = {
+        "valley-sd": (lambda: steepest_descent(RosenbrockObjective(1.0), (5.0, 5.0),
+                                               Fixed(0.00124)),
+                      "converged", 21703, "fe966e42d45d99d4"),
+        "valley-cg": (lambda: fletcher_reeves_cg(RosenbrockObjective(1.0), (2.0, 2.0),
+                                                 Fixed(0.0124)),
+                      "converged", 109, "ba547f4c443cc3be"),
+        "valley-newton": (lambda: newton_raphson(RosenbrockObjective(100.0), (-1.2, 1.0)),
+                          "converged", 5, "e0f1f42353073144"),
+        "quadratic-7d-sd": (lambda: steepest_descent(Q7, np.ones(7), Fixed(1e-3),
+                                                     TerminationPolicy(max_iterations=500)),
+                            "max_iter", 500, "16784a0b35d7da63"),
+        "quadratic-7d-cg": (lambda: fletcher_reeves_cg(Q7, np.ones(7), ExactQuadratic()),
+                            "converged", 8, "9e3ae3d9447776ce"),
+        "quadratic-7d-newton": (lambda: newton_raphson(Q7, np.ones(7)),
+                                "converged", 1, "3a60df875e3160e4"),
+        # The final row holds a nan value and grad_norm at the point (-inf, 2e240).
+        "valley-nonfinite": (lambda: steepest_descent(RosenbrockObjective(1.0), (1e70, 0.0),
+                                                      Fixed(1e100), NO_BLOWUP),
+                             "diverged_nonfinite", 1, "474bfcbbcf0f773c"),
+        "quadratic-7d-nonfinite": (lambda: steepest_descent(Q7, np.ones(7), Fixed(1e300),
+                                                            NO_BLOWUP),
+                                   "diverged_nonfinite", 1, "84ecc68418dfa706"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_writer_builds_no_records(self, case, monkeypatch):
+        run, status, iterations, digest = self.CASES[case]
+
+        def refuse(*args):
+            raise AssertionError("an IterateRecord was built")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(optimize, "IterateRecord", refuse)
+            result = run()
+            text = trajectory_csv(result)
+            assert len(result.trajectory) == iterations + 1
+        built = []
+        with monkeypatch.context() as patch:
+            patch.setattr(optimize, "IterateRecord",
+                          lambda *fields: built.append(fields) or IterateRecord(*fields))
+            assert result.trajectory[0] is result.trajectory[0]
+            assert list(result.trajectory)[1:] == result.trajectory[1:]
+        assert len(built) == iterations + 1
+        assert (result.status.value, result.iterations) == (status, iterations)
+        assert records_digest(result) == digest
+        assert text == reference_trajectory_csv(result)

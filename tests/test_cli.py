@@ -242,6 +242,16 @@ class TestCheckgradCommand:
         assert grad_err <= 1e-5
         assert hess_err <= 1e-5
 
+    @pytest.mark.parametrize("kappa, lines", [
+        ("1", ["gradient max_rel_err=2.2204460492503131e-10",
+               "hessian max_rel_err=3.0107575757601469e-08"]),
+        ("100", ["gradient max_rel_err=3.9996883586528603e-10",
+                 "hessian max_rel_err=1.8053331506471472e-08"]),
+    ])
+    def test_default_steps_keep_the_bits(self, capsys, kappa, lines):
+        assert main(["checkgrad", "--kappa", kappa]) == 0
+        assert capsys.readouterr().out.splitlines() == lines
+
     def test_undefined_comparison_reads_nan(self, capsys):
         # At kappa 1e308 every comparison is inf - inf; nan must not read as 0.
         with warnings.catch_warnings():

@@ -259,12 +259,18 @@ class TestQuadraticObjective:
                                       ([[4.0, 1.0], [1.0, 4.0]], [1.0, -1.0])])
     def test_overflow_is_inf_or_nan_without_a_warning(self, Q, b, x):
         q = QuadraticObjective(Q, b)
+        # The default steps are lost in rounding at such points; a step of a millionth of
+        # the point moves every coordinate.
+        h = 1e-6 * max(map(abs, x))
+        for oracle in (finite_diff_gradient, finite_diff_hessian):
+            with pytest.raises(InvalidInputError, match="lost in rounding"):
+                oracle(q, x)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             value = q.value(x)
             gradient = q.gradient(x)
-            fd_gradient = finite_diff_gradient(q, x)
-            fd_hessian = finite_diff_hessian(q, x)
+            fd_gradient = finite_diff_gradient(q, x, h)
+            fd_hessian = finite_diff_hessian(q, x, h)
         assert not math.isfinite(value)
         # x'Qx overflows at every such point; Qx only where it leaves the float range.
         assert np.isfinite(gradient).all() == (abs(x[0]) < 1e300 or Q[0][0] == 1.0)
@@ -319,6 +325,21 @@ class TestFiniteDifferences:
             finite_diff_gradient(f, (0.0, 0.0), 0.0)
         with pytest.raises(InvalidInputError):
             finite_diff_hessian(f, (0.0, 0.0), -1e-4)
+
+    @pytest.mark.parametrize("oracle", [finite_diff_gradient, finite_diff_hessian])
+    @pytest.mark.parametrize("h", [1e-16, 1e-20])
+    def test_step_lost_in_rounding_refused(self, oracle, h):
+        # 2 + h and 2 - h round to 2, so every difference would read zero.
+        with pytest.raises(InvalidInputError, match="lost in rounding at \\[2.0, 2.0\\]"):
+            oracle(RosenbrockObjective(1.0), (2.0, 2.0), h)
+
+    @pytest.mark.parametrize("oracle", [finite_diff_gradient, finite_diff_hessian])
+    def test_step_lost_in_one_coordinate_refused(self, oracle):
+        # The ulp of 1e10 is about 1.9e-6: a step of 1e-7 is lost there, one of 1e-5 is not.
+        q = QuadraticObjective(np.eye(3), np.zeros(3))
+        with pytest.raises(InvalidInputError, match="finite-difference step 1e-07"):
+            oracle(q, (0.0, 1e10, 0.0), 1e-7)
+        assert oracle(q, (0.0, 1e10, 0.0), 1e-5).shape[0] == 3
 
 
 class TestInvariants:

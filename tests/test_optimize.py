@@ -417,6 +417,28 @@ class TestFloatPath:
         assert_same_run(*runs)
         assert runs[0].status.value == ending.split("-")[0]
 
+    @pytest.mark.parametrize("ending", ENDINGS)
+    @pytest.mark.parametrize("path", ["fused", "ndarray"])
+    def test_recording_changes_no_result(self, ending, path):
+        # A recorded iterate takes the float-pair loop's guard, as an unrecorded one does.
+        driver, kappa, x0, rule, policy = self.ENDINGS[ending]
+        args = (policy,) if rule is None else (rule, policy)
+        objective = RosenbrockObjective(kappa) if path == "fused" else DuckValley(kappa)
+        recorded, unrecorded = (driver(objective, x0, *args, record_trajectory=record)
+                                for record in (True, False))
+        assert (recorded.status, recorded.iterations) == (unrecorded.status, unrecorded.iterations)
+        assert recorded.final_point.tobytes() == unrecorded.final_point.tobytes()
+        assert (bits(recorded.final_value, recorded.final_grad_norm)
+                == bits(unrecorded.final_value, unrecorded.final_grad_norm))
+        n = recorded.iterations
+        assert [rec.k for rec in recorded.trajectory] == list(range(n + 1))
+        assert [rec.k for rec in unrecorded.trajectory] == sorted({0, n})
+        for a, b in ((recorded.trajectory[0], unrecorded.trajectory[0]),
+                     (recorded.trajectory[-1], unrecorded.trajectory[-1])):
+            assert a.point.tobytes() == b.point.tobytes()
+            assert bits(a.value, a.grad_norm, a.alpha_used) == bits(b.value, b.grad_norm,
+                                                                     b.alpha_used)
+
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.data())
     def test_guard_edges_keep_the_bits(self, data):
