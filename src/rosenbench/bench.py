@@ -271,6 +271,11 @@ def trajectory_csv(result: RunResult) -> str:
     """Iterate history as CSV, one coordinate column per dimension of `final_point`.
 
     A run's trajectory is written from its rows, without building its records."""
+    return "".join(_trajectory_blocks(result))
+
+
+def _trajectory_blocks(result: RunResult):
+    # trajectory_csv's text: the header, then one block of up to _TRAJECTORY_BLOCK rows.
     dim = len(result.final_point)
     if isinstance(result.trajectory, _Trajectory):
         rows = result.trajectory.rows
@@ -281,24 +286,27 @@ def trajectory_csv(result: RunResult) -> str:
             if len(point) != dim:
                 raise InvalidInputError(f"record {rec.k} has {len(point)} coordinates, not {dim}")
             rows.append((rec.k, *point, rec.value, rec.grad_norm, rec.alpha_used))
-    parts = ["k," + ",".join(f"x{i + 1}" for i in range(dim)) + ",f,grad_norm,alpha\n"]
+    yield "k," + ",".join(f"x{i + 1}" for i in range(dim)) + ",f,grad_norm,alpha\n"
     row = "%d," + "%.17g," * dim + "%.17g,%.17g,%.17g\n"
     for start in range(0, len(rows), _TRAJECTORY_BLOCK):
         block = rows[start:start + _TRAJECTORY_BLOCK]
-        parts.append(row * len(block) % tuple(chain.from_iterable(block)))
-    return "".join(parts)
+        yield row * len(block) % tuple(chain.from_iterable(block))
 
 
 def grid_csv(grid: ContourGrid) -> str:
     """Grid samples as x,y,f rows in row-major order; values must be len(xs) x len(ys)."""
+    return "".join(_grid_blocks(grid))
+
+
+def _grid_blocks(grid: ContourGrid):
+    # grid_csv's text: the header, then one block per x.
     n, shape = len(grid.ys), getattr(grid.values, "shape", None)
     if shape != (len(grid.xs), n):
         raise InvalidInputError(f"grid values must be {len(grid.xs)}x{n}, got shape {shape}")
     row = "".join("%s," + fmt_real(y) + ",%.17g\n" for y in grid.ys)
     fields = [None] * (2 * n)
-    parts = ["x,y,f\n"]
+    yield "x,y,f\n"
     for x, values in zip(grid.xs, grid.values):
         fields[::2] = [fmt_real(x)] * n
         fields[1::2] = values.tolist()
-        parts.append(row % tuple(fields))
-    return "".join(parts)
+        yield row % tuple(fields)

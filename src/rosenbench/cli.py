@@ -27,20 +27,21 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
 from .bench import (
     ExperimentMatrix,
+    _grid_blocks,
+    _trajectory_blocks,
     contour_grid,
     fmt_real,
-    grid_csv,
     results_csv,
     rule_label,
     run_matrix,
     run_method,
     status_label,
-    trajectory_csv,
 )
 from .errors import InvalidInputError
 from .linesearch import parse_rule
@@ -114,12 +115,13 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     return config
 
 
-def _write_text(path: str | None, text: str):
+def _write_text(path: str | None, blocks: Iterable[str]):
+    """Write each block of text as it is made, so the whole text is never held at once."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     else:
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
 
 
 def _cmd_run(config) -> int:
@@ -133,13 +135,13 @@ def _cmd_run(config) -> int:
         f"f={fmt_real(result.final_value)} grad_norm={fmt_real(result.final_grad_norm)}"
     )
     if config.traj is not None:
-        _write_text(config.traj, trajectory_csv(result))
+        _write_text(config.traj, _trajectory_blocks(result))
     return 0
 
 
 def _cmd_bench(config) -> int:
     matrix = ExperimentMatrix(policy=config.policy)
-    _write_text(config.out, results_csv(run_matrix(matrix)))
+    _write_text(config.out, (results_csv(run_matrix(matrix)),))
     return 0
 
 
@@ -150,7 +152,7 @@ def _cmd_contour(config) -> int:
         (config.ymin, config.ymax),
         config.resolution,
     )
-    _write_text(config.out, grid_csv(grid))
+    _write_text(config.out, _grid_blocks(grid))
     return 0
 
 

@@ -225,7 +225,11 @@ class GoldenSection:
         while width > width_tol:
             width *= INV_PHI
             shrinks.append((INV_PHI_SQ * width, INV_PHI * width))
-        object.__setattr__(self, "_schedule", (c, d, tuple(shrinks), 0.5 * width))
+        # A final width of one subnormal halves to 0.0, a zero step that never moves a run.
+        half = 0.5 * width
+        if not half > 0.0:
+            raise InvalidInputError(f"width tolerance {width_tol} leaves a zero final half-width")
+        object.__setattr__(self, "_schedule", (c, d, tuple(shrinks), half))
 
     def label(self) -> str:
         return f"golden:{fmt_real(self.lo)}:{fmt_real(self.hi)}:{fmt_real(self.width_tol)}"

@@ -3,12 +3,14 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import pytest
 
 from rosenbench import cli
+from rosenbench.bench import contour_grid, grid_csv, run_method, trajectory_csv
 from rosenbench.cli import main, parse_args, parse_point
 from rosenbench.errors import InvalidInputError
 from rosenbench.linesearch import (
@@ -20,6 +22,8 @@ from rosenbench.linesearch import (
     VariableCandidates,
     parse_rule,
 )
+from rosenbench.objectives import RosenbrockObjective
+from rosenbench.optimize import TerminationPolicy
 
 
 class TestParsing:
@@ -228,6 +232,57 @@ class TestContourCommand:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.splitlines() == ["error: Unable to allocate 7.28 TiB"]
+
+
+class TestStreamedCsv:
+    """`contour` and `run --traj` write, block by block, the bytes of grid_csv and trajectory_csv."""
+
+    GRID = ["--kappa", "100", "--xmin", "-1.5", "--xmax", "2.5", "--ymin", "-0.5",
+            "--ymax", "3", "--resolution", "37"]
+
+    def expected_grid(self):
+        return grid_csv(contour_grid(100.0, (-1.5, 2.5), (-0.5, 3.0), 37)).encode()
+
+    def test_contour_file(self, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        assert main(["contour", *self.GRID, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == self.expected_grid()
+
+    def test_contour_stdout(self, capsys):
+        assert main(["contour", *self.GRID]) == 0
+        assert capsys.readouterr().out.encode() == self.expected_grid()
+
+    # 1,538 rows, two blocks of the writer; 110 rows; 6 rows.
+    @pytest.mark.parametrize("method, step, kappa, start", [
+        ("sd", "fixed:0.0124", 1.0, (2.0, 2.0)),
+        ("cg", "fixed:0.0124", 1.0, (2.0, 2.0)),
+        ("newton", None, 100.0, (-1.2, 1.0)),
+    ])
+    def test_run_trajectory(self, tmp_path, capsys, method, step, kappa, start):
+        traj = tmp_path / "traj.csv"
+        argv = ["run", "--method", method, "--kappa", repr(kappa), "--start=%r,%r" % start,
+                "--traj", str(traj)] + (["--step", step] if step else [])
+        assert main(argv) == 0
+        result = run_method(method, RosenbrockObjective(kappa), start,
+                            step and parse_rule(step), TerminationPolicy())
+        verdict = capsys.readouterr().out.splitlines()
+        assert len(verdict) == 1 and verdict[0].startswith(result.status.value + " ")
+        assert f" iterations={result.iterations} " in verdict[0]
+        assert traj.read_bytes() == trajectory_csv(result).encode()
+
+    def test_contour_peak_memory_below_the_file(self, tmp_path):
+        # The whole CSV is never held: the peak is the grid's arrays and one row.
+        out = tmp_path / "grid.csv"
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            assert main(["contour", "--kappa", "100", "--resolution", "201",
+                         "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.stat().st_size
 
 
 class TestCheckgradCommand:

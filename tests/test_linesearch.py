@@ -153,6 +153,9 @@ class TestRuleValidation:
             GoldenSection(0.0, 1.0, 0.0)
         with pytest.raises(InvalidInputError):
             GoldenSection(0.0, 1e-9, 1e-8)
+        # The schedule's final width is one subnormal, whose half is a zero step.
+        with pytest.raises(InvalidInputError, match="zero final half-width"):
+            GoldenSection(0.0, 1.5, 5e-324)
 
     def test_random_quadfit_range(self):
         with pytest.raises(InvalidInputError):
@@ -456,7 +459,7 @@ class TestGoldenSection:
 
     @SETTINGS
     @given(st.one_of(
-               st.sampled_from((GoldenSection(), GoldenSection(0.0, 1.5, 5e-324))),
+               st.sampled_from((GoldenSection(), GoldenSection(0.0, 1.5, 1e-323))),
                st.builds(golden_or_none, st.floats(min_value=0.0, max_value=1e3),
                          st.floats(min_value=1e-300, max_value=1e3),
                          st.floats(min_value=1e-15, max_value=0.99)).filter(bool)),

@@ -266,7 +266,9 @@ REFUSALS = {
     "RandomQuadraticFit.seed": (lambda v: RandomQuadraticFit(seed=v), bad_counts(0)),
     "GoldenSection.lo": (lambda v: GoldenSection(lo=v), bad_reals(negative)),
     "GoldenSection.hi": (lambda v: GoldenSection(hi=v), bad_reals(st.floats(max_value=1.24e-6))),
-    "GoldenSection.width_tol": (lambda v: GoldenSection(width_tol=v), bad_reals(not_positive)),
+    # A tolerance of one subnormal leaves a final half-width of 0.0.
+    "GoldenSection.width_tol": (lambda v: GoldenSection(width_tol=v),
+                                bad_reals(st.one_of(not_positive, st.just(5e-324)))),
     "TerminationPolicy.epsilon": (lambda v: TerminationPolicy(epsilon=v),
                                   bad_reals(not_positive)),
     "TerminationPolicy.max_iterations": (lambda v: TerminationPolicy(max_iterations=v),
@@ -358,6 +360,8 @@ def test_select_outside_a_run_returns_a_float_or_a_package_error(objective, x, d
         except PACKAGE_ERRORS:
             return
     assert type(step) is float
+    # An exact step is negative where d climbs; every other rule steps forward, finitely.
+    assert isinstance(rule, ExactQuadratic) or 0.0 < step < math.inf
 
 
 @SETTINGS
