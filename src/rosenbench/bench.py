@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -275,22 +275,24 @@ def trajectory_csv(result: RunResult) -> str:
 
 
 def _trajectory_blocks(result: RunResult):
-    # trajectory_csv's text: the header, then one block of up to _TRAJECTORY_BLOCK rows.
+    # trajectory_csv's text: the header, then one block of up to _TRAJECTORY_BLOCK rows,
+    # each (k, *point, f, grad_norm, alpha) packed as float64s; "%d" writes a float k exactly.
     dim = len(result.final_point)
+    width = dim + 4
     if isinstance(result.trajectory, _Trajectory):
         rows = result.trajectory.rows
     else:
-        rows = []
+        rows = array("d")
         for rec in result.trajectory:
             point = rec.point.tolist()
             if len(point) != dim:
                 raise InvalidInputError(f"record {rec.k} has {len(point)} coordinates, not {dim}")
-            rows.append((rec.k, *point, rec.value, rec.grad_norm, rec.alpha_used))
+            rows.extend((rec.k, *point, rec.value, rec.grad_norm, rec.alpha_used))
     yield "k," + ",".join(f"x{i + 1}" for i in range(dim)) + ",f,grad_norm,alpha\n"
-    row = "%d," + "%.17g," * dim + "%.17g,%.17g,%.17g\n"
-    for start in range(0, len(rows), _TRAJECTORY_BLOCK):
-        block = rows[start:start + _TRAJECTORY_BLOCK]
-        yield row * len(block) % tuple(chain.from_iterable(block))
+    row, step = "%d," + "%.17g," * dim + "%.17g,%.17g,%.17g\n", _TRAJECTORY_BLOCK * width
+    for start in range(0, len(rows), step):
+        block = tuple(rows[start:start + step])
+        yield row * (len(block) // width) % block
 
 
 def grid_csv(grid: ContourGrid) -> str:

@@ -221,14 +221,25 @@ def _moving_step(p, h) -> tuple[Vector, float]:
     return x, h
 
 
+def _refuse_flat(f0, probes, h, x) -> None:
+    """InvalidInputError if f(p) is finite and every probe reads exactly f(p): a step that
+    moves the point but not f reads as a zero derivative.  Where f is not finite, the
+    oracles give what the differences give."""
+    if math.isfinite(f0) and all(v == f0 for v in probes):
+        raise InvalidInputError(f"finite-difference step {h!r} leaves f unchanged at {x.tolist()}")
+
+
 def finite_diff_gradient(f: Objective, p, h: float = DEFAULT_GRADIENT_STEP) -> Vector:
     """Central-difference gradient oracle: (f(p + h e_i) - f(p - h e_i)) / (2h)."""
     x, h = _moving_step(p, h)
     g = np.empty(x.size)
+    probes = []
     for i in range(x.size):
         step = np.zeros(x.size)
         step[i] = h
-        g[i] = (f.value(x + step) - f.value(x - step)) / (2.0 * h)
+        probes += f.value(x + step), f.value(x - step)
+        g[i] = (probes[-2] - probes[-1]) / (2.0 * h)
+    _refuse_flat(f.value(x), probes, h, x)
     return g
 
 
@@ -239,18 +250,18 @@ def finite_diff_hessian(f: Objective, p, h: float = DEFAULT_HESSIAN_STEP) -> Mat
         raise InvalidInputError(f"finite-difference step {h!r} is so small that h*h is zero")
     n = x.size
     H = np.empty((n, n))
-    f0 = f.value(x)
+    f0, probes = f.value(x), []
     for i in range(n):
         ei = np.zeros(n)
         ei[i] = h
-        H[i, i] = (f.value(x + ei) - 2.0 * f0 + f.value(x - ei)) / (h * h)
+        probes += f.value(x + ei), f.value(x - ei)
+        H[i, i] = (probes[-2] - 2.0 * f0 + probes[-1]) / (h * h)
         for j in range(i + 1, n):
             ej = np.zeros(n)
             ej[j] = h
-            H[i, j] = H[j, i] = (
-                f.value(x + ei + ej)
-                - f.value(x + ei - ej)
-                - f.value(x - ei + ej)
-                + f.value(x - ei - ej)
-            ) / (4.0 * h * h)
+            probes += (f.value(x + ei + ej), f.value(x + ei - ej), f.value(x - ei + ej),
+                       f.value(x - ei - ej))
+            pp, pm, mp, mm = probes[-4:]
+            H[i, j] = H[j, i] = (pp - pm - mp + mm) / (4.0 * h * h)
+    _refuse_flat(f0, probes, h, x)
     return 0.5 * (H + H.T)

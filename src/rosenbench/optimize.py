@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from struct import Struct
 
 import numpy as np
 
@@ -87,7 +89,7 @@ class IterateRecord:
 class RunResult:
     """Outcome of one optimizer run with its recorded trajectory.
 
-    A run's `trajectory` builds its IterateRecords from flat rows when it is first read."""
+    A run's `trajectory` builds its IterateRecords from packed rows when it is first read."""
 
     status: RunStatus
     iterations: int
@@ -111,18 +113,25 @@ def fletcher_reeves_beta(g_next, g, gg_next: float, gg: float) -> float:
 
 
 class _Trajectory(Sequence):
-    """A run's flat rows (k, *point, value, grad_norm, alpha_used) as IterateRecords, each
-    with a float64 ndarray point, built all at once when first indexed or iterated."""
+    """A run's rows as IterateRecords, each with a float64 ndarray point, built all at once
+    when first indexed or iterated.
 
-    def __init__(self, rows: list[tuple]):
-        self.rows, self._records = rows, None
+    `rows` packs `width` float64s per iterate, (k, *point, value, grad_norm, alpha_used); k
+    is exact as a float64 up to 2**53.  The records are built from slices, which copy: a
+    buffer exported from `rows` would keep a run from growing it (BufferError)."""
+
+    def __init__(self, rows: array, width: int):
+        self.rows, self.width, self._records = rows, width, None
 
     def __len__(self) -> int:
-        return len(self.rows)  # builds no record
+        return len(self.rows) // self.width  # builds no record
 
     def __getitem__(self, i):
         if self._records is None:
-            self._records = [IterateRecord(r[0], np.array(r[1:-3]), *r[-3:]) for r in self.rows]
+            rows, w = self.rows, self.width
+            self._records = [IterateRecord(int(rows[s]), np.array(rows[s + 1:s + w - 3]),
+                                           *rows[s + w - 3:s + w])
+                             for s in range(0, len(rows), w)]
         return self._records[i]
 
     def __repr__(self) -> str:
@@ -131,9 +140,10 @@ class _Trajectory(Sequence):
 
 def _finish(rows, status, k, point, f, gn, alpha) -> RunResult:
     """Add the final row (unless it already is the last one) and close the run."""
-    if not rows or rows[-1][0] != k:
-        rows.append((k, *point, f, gn, alpha))
-    return RunResult(status, k, np.array(point), f, gn, _Trajectory(rows))
+    width = len(point) + 4
+    if not rows or rows[-width] != k:
+        rows.extend((k, *point, f, gn, alpha))
+    return RunResult(status, k, np.array(point), f, gn, _Trajectory(rows, width))
 
 
 def _judge(k, xn, f, gn, policy) -> RunStatus | None:
@@ -202,7 +212,8 @@ def _pair_loop(objective, x, policy, record, select, rng, fixed_alpha, period) -
     low, neg_eps, neg_inf = -edge, -eps, -inf
     cap, conjugate = policy.max_iterations, period != 1
     x1, x2 = x.tolist()
-    rows: list[tuple] = []
+    # A row is packed in one call: array.extend of a tuple costs about four times as much.
+    rows, pack = array("d"), Struct("6d").pack
     alpha = 0.0  # the step that produced (x1, x2)
     g_prev = gg_prev = d1 = d2 = None
     k = 0
@@ -217,7 +228,7 @@ def _pair_loop(objective, x, policy, record, select, rng, fixed_alpha, period) -
             return _finish(rows, RunStatus.DIVERGED_NONFINITE, k, (x1, x2), math.nan, math.nan,
                            alpha)
         if record or not k:
-            rows.append((k, x1, x2, f, hypot(g1, g2), alpha))
+            rows.frombytes(pack(k, x1, x2, f, hypot(g1, g2), alpha))
         if (not (inside and 0 < k < cap and neg_inf < f < inf)
                 or neg_eps <= g1 <= eps and neg_eps <= g2 <= eps):
             gn = hypot(g1, g2)
@@ -256,7 +267,7 @@ def _pair_loop(objective, x, policy, record, select, rng, fixed_alpha, period) -
 def _array_loop(objective, x, policy, record, select, rng, fixed_alpha, period) -> RunResult:
     """_descent_loop on ndarrays: value and gradient, then hessian or a LineRestriction."""
     newton, conjugate = select is None, period != 1
-    rows: list[tuple] = []
+    rows, pack = array("d"), Struct(f"{x.size + 4}d").pack
     alpha = 0.0  # the step that produced x
     g_prev = gg_prev = d = None
     k = 0
@@ -272,7 +283,7 @@ def _array_loop(objective, x, policy, record, select, rng, fixed_alpha, period) 
             return _finish(rows, RunStatus.DIVERGED_NONFINITE, k, x.tolist(), math.nan, math.nan,
                            alpha)
         if record or not k:
-            rows.append((k, *x.tolist(), f, gn, alpha))
+            rows.frombytes(pack(k, *x.tolist(), f, gn, alpha))
         if status := _judge(k, xn, f, gn, policy):
             return _finish(rows, status, k, x.tolist(), f, gn, alpha)
         if newton:

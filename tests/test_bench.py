@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -473,3 +474,55 @@ class TestRecordsBuiltWhenRead:
         assert (result.status.value, result.iterations) == (status, iterations)
         assert records_digest(result) == digest
         assert text == reference_trajectory_csv(result)
+
+
+class Float64Bowl:
+    """x'x with only value and gradient, whose value is a np.float64."""
+
+    def value(self, x):
+        return np.float64(x @ x)
+
+    def gradient(self, x):
+        return 2.0 * x
+
+
+class TestPackedRows:
+    """A run packs each recorded iterate into dim + 4 float64s; records are built from them."""
+
+    @pytest.mark.parametrize("run, dim, bound", [
+        (TestRecordsBuiltWhenRead.CASES["valley-sd"][0], 2, 64),
+        (lambda: steepest_descent(Q7, np.ones(7), Fixed(1e-4),
+                                  TerminationPolicy(max_iterations=20_000)), 7, 8 * 11 * 1.3),
+    ], ids=["valley-sd", "quadratic-7d-sd"])
+    def test_recorded_run_holds_about_its_packed_rows(self, run, dim, bound):
+        # The bounds are 8 * (dim + 4) bytes per row with room for the array's growth; a
+        # tuple of Python floats per row took about 225 bytes on the valley.
+        run()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = run()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(result.final_point) == dim and len(result.trajectory) >= 20_001
+        assert peak / len(result.trajectory) < bound
+
+    RUNS = {
+        **{name: TestRecordsBuiltWhenRead.CASES[name][0]
+           for name in ("valley-sd", "valley-cg", "valley-newton", "quadratic-7d-sd")},
+        "float64-value": lambda: steepest_descent(Float64Bowl(), (1.0, 2.0), Fixed(0.25)),
+    }
+
+    @pytest.mark.parametrize("case", RUNS)
+    def test_record_field_types(self, case):
+        result = self.RUNS[case]()
+        records = list(result.trajectory)
+        for r in records:
+            assert type(r.k) is int
+            assert type(r.point) is np.ndarray and r.point.dtype == np.float64
+            assert {type(r.value), type(r.grad_norm), type(r.alpha_used)} == {float}
+        as_list = RunResult(result.status, result.iterations, result.final_point,
+                            result.final_value, result.final_grad_norm, records)
+        assert trajectory_csv(as_list) == trajectory_csv(result)

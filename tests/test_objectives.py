@@ -341,6 +341,14 @@ class TestFiniteDifferences:
             oracle(q, (0.0, 1e10, 0.0), 1e-7)
         assert oracle(q, (0.0, 1e10, 0.0), 1e-5).shape[0] == 3
 
+    @pytest.mark.parametrize("oracle, h", [(finite_diff_gradient, 1e-17),
+                                           (finite_diff_hessian, 1e-160)])
+    def test_step_that_leaves_f_unchanged_refused(self, oracle, h):
+        # The step moves the origin, but f(±h, 0) and f(0, ±h) round to f(0, 0) = 1, so the
+        # differences would read a zero gradient (not [-2, 0]) or Hessian (not 2I).
+        with pytest.raises(InvalidInputError, match=f"step {h!r} leaves f unchanged at"):
+            oracle(RosenbrockObjective(1.0), (0.0, 0.0), h)
+
 
 class TestInvariants:
     def test_gradient_vs_finite_differences_random(self):
