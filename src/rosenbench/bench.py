@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncomparableVariantsError, InvalidInputError, check_count, check_real
+from .errors import (IncomparableVariantsError, InvalidInputError, as_vector, check_count,
+                     check_real, real_array)
 from .linesearch import (
     Fixed,
     GoldenSection,
@@ -26,7 +27,7 @@ from .linesearch import (
     VariableCandidates,
     fmt_real,
 )
-from .objectives import Matrix, RosenbrockObjective, as_vector, real_array, valley_value
+from .objectives import Matrix, RosenbrockObjective, valley_value
 from .optimize import (
     RunResult,
     RunStatus,
@@ -241,7 +242,7 @@ def contour_grid(
         raise InvalidInputError(f"degenerate grid ranges x={x_range}, y={y_range}")
     if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)):
         raise InvalidInputError(f"grid range widths overflow: x={x_range}, y={y_range}")
-    kappa = RosenbrockObjective(kappa).kappa  # validates kappa
+    kappa = check_real("kappa", kappa)
     xs = np.linspace(x_lo, x_hi, resolution)
     ys = np.linspace(y_lo, y_hi, resolution)
     # values[i, j] = f(xs[i], ys[j]); an overflow is inf, as the scalar evaluation gives.
@@ -280,7 +281,9 @@ def _trajectory_blocks(result: RunResult):
     dim = len(result.final_point)
     width = dim + 4
     if isinstance(result.trajectory, _Trajectory):
-        rows = result.trajectory.rows
+        rows, packed = result.trajectory.rows, result.trajectory.width - 4
+        if packed != dim:
+            raise InvalidInputError(f"trajectory has {packed} coordinates, not {dim}")
     else:
         rows = array("d")
         for rec in result.trajectory:

@@ -74,11 +74,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--traj", default=None, metavar="PATH",
                      help="write the iterate trajectory CSV here")
     _policy_flags(run)
+    run.set_defaults(handler=_cmd_run)
 
     bench = sub.add_parser("bench", help="run the full experiment matrix")
     bench.add_argument("--out", default=None, metavar="PATH",
                        help="results CSV path (default: standard output)")
     _policy_flags(bench)
+    bench.set_defaults(handler=_cmd_bench)
 
     contour = sub.add_parser("contour", help="emit objective values on a grid")
     contour.add_argument("--kappa", type=float, default=1.0)
@@ -88,18 +90,20 @@ def build_parser() -> argparse.ArgumentParser:
     contour.add_argument("--ymax", type=float, default=6.0)
     contour.add_argument("--resolution", type=int, default=401)
     contour.add_argument("--out", default=None, metavar="PATH")
+    contour.set_defaults(handler=_cmd_contour)
 
     checkgrad = sub.add_parser("checkgrad", help="compare analytic and finite-difference derivatives")
     checkgrad.add_argument("--kappa", type=float, default=1.0)
+    checkgrad.set_defaults(handler=_cmd_checkgrad)
 
     return parser
 
 
 def _policy_flags(p: argparse.ArgumentParser):
-    p.add_argument("--eps", type=float, default=1e-3,
+    p.add_argument("--eps", type=float, default=TerminationPolicy.epsilon,
                    help="gradient-norm stopping tolerance")
-    p.add_argument("--max-iter", type=int, default=10_000_000)
-    p.add_argument("--blowup", type=float, default=1e8,
+    p.add_argument("--max-iter", type=int, default=TerminationPolicy.max_iterations)
+    p.add_argument("--blowup", type=float, default=TerminationPolicy.blowup_norm,
                    help="iterate-norm divergence threshold")
 
 
@@ -181,15 +185,9 @@ def _cmd_checkgrad(config) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Parse and run one subcommand; returns the exit status, 2 for a value the library refuses."""
-    handlers = {
-        "run": _cmd_run,
-        "bench": _cmd_bench,
-        "contour": _cmd_contour,
-        "checkgrad": _cmd_checkgrad,
-    }
     try:
         config = parse_args(sys.argv[1:] if argv is None else argv)
-        return handlers[config.subcommand](config)
+        return config.handler(config)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, InvalidInputError) else 1

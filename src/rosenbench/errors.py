@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and its internal checks of arguments:
-`is_real` is the one rule for a real, `SEQUENCE_TYPES` the one for what holds reals."""
+"""Exception types shared across the package, and every internal check of its arguments:
+`is_real` is the one rule for a real, `SEQUENCE_TYPES` the one for what holds reals, and
+`check_real`, `check_count`, `real_array` and `as_vector` apply them."""
 
 import math
 import numbers
@@ -51,3 +52,43 @@ def check_count(name: str, value, low: int) -> int:
         return int(value)
     raise InvalidInputError(f"{name} must be an integer >= {low}, got {value!r}")
 
+
+def _holds_reals(x) -> bool:
+    # An ndarray of integer or float dtype and at least one dimension, or another of
+    # SEQUENCE_TYPES whose every entry is a real (is_real) or holds reals in turn.
+    if isinstance(x, np.ndarray):
+        return x.ndim > 0 and x.dtype.kind in "iuf"
+    return isinstance(x, SEQUENCE_TYPES) and all(is_real(e) or _holds_reals(e) for e in x)
+
+
+def real_array(x, name: str = "array") -> np.ndarray:
+    """`x` as a float64 array; InvalidInputError, whose message starts with `name`, unless
+    `x` and its rows are SEQUENCE_TYPES and its entries reals (is_real).  So text,
+    bytes, sets, dicts, iterators, bools, 0-d arrays, complex numbers and None are refused
+    as entries, rows or `x`, and so is a ragged nesting.  A float64 ndarray, such as a
+    driver's iterate, is returned as it is, unchecked."""
+    if not isinstance(x, SEQUENCE_TYPES):
+        raise InvalidInputError(f"{name} must be an array of reals, got {x!r}")
+    try:
+        v = np.asarray(x)
+    except ValueError as exc:  # a ragged nesting, or one deeper than numpy reads
+        raise InvalidInputError(f"{name} must be an array of reals: {exc}") from None
+    if not (v is x and v.dtype == np.float64 or _holds_reals(x)):
+        raise InvalidInputError(f"{name} must be an array of reals, got {x!r}")
+    return v if v.dtype == np.float64 else v.astype(np.float64)
+
+
+def as_vector(x, dim: int | None = None, name: str = "point") -> np.ndarray:
+    """Validate and convert `x` to a finite float64 vector.
+
+    Raises InvalidInputError, whose message starts with `name`, on entries
+    that are not finite reals, empty input, or a dimension mismatch with `dim`.
+    """
+    v = real_array(x, name)
+    if v.ndim != 1 or v.size == 0:
+        raise InvalidInputError(f"{name} must be a nonempty 1-d vector, got shape {v.shape}")
+    if dim is not None and v.size != dim:
+        raise InvalidInputError(f"{name} must be a vector of dimension {dim}, got {v.size}")
+    if not np.isfinite(v).all():
+        raise InvalidInputError(f"{name} has non-finite components: {v}")
+    return v

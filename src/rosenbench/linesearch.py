@@ -30,8 +30,8 @@ import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .errors import (InvalidDirectionError, InvalidInputError, LineSearchFailedError,
-                     check_count, check_real)
-from .objectives import Objective, QuadraticObjective, as_vector, real_array
+                     as_vector, check_count, check_real, real_array)
+from .objectives import Objective, QuadraticObjective
 
 # Golden ratio conjugate: bracket width shrinks by this factor per probe.
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

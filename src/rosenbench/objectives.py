@@ -20,7 +20,7 @@ from typing import Protocol
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import SEQUENCE_TYPES, InvalidInputError, check_real, is_real
+from .errors import InvalidInputError, as_vector, check_real, real_array
 
 Vector = NDArray[np.float64]
 Matrix = NDArray[np.float64]
@@ -52,47 +52,6 @@ class Objective(Protocol):
     def gradient(self, x: Vector) -> Vector: ...
 
     def hessian(self, x: Vector) -> Matrix: ...
-
-
-def _holds_reals(x) -> bool:
-    # An ndarray of integer or float dtype and at least one dimension, or another of
-    # SEQUENCE_TYPES whose every entry is a real (errors.is_real) or holds reals in turn.
-    if isinstance(x, np.ndarray):
-        return x.ndim > 0 and x.dtype.kind in "iuf"
-    return isinstance(x, SEQUENCE_TYPES) and all(is_real(e) or _holds_reals(e) for e in x)
-
-
-def real_array(x, name: str = "array") -> Vector:
-    """`x` as a float64 array; InvalidInputError, whose message starts with `name`, unless
-    `x` and its rows are SEQUENCE_TYPES and its entries reals (errors.is_real).  So text,
-    bytes, sets, dicts, iterators, bools, 0-d arrays, complex numbers and None are refused
-    as entries, rows or `x`, and so is a ragged nesting.  A float64 ndarray, such as a
-    driver's iterate, is returned as it is, unchecked."""
-    if not isinstance(x, SEQUENCE_TYPES):
-        raise InvalidInputError(f"{name} must be an array of reals, got {x!r}")
-    try:
-        v = np.asarray(x)
-    except ValueError as exc:  # a ragged nesting, or one deeper than numpy reads
-        raise InvalidInputError(f"{name} must be an array of reals: {exc}") from None
-    if not (v is x and v.dtype == np.float64 or _holds_reals(x)):
-        raise InvalidInputError(f"{name} must be an array of reals, got {x!r}")
-    return v if v.dtype == np.float64 else v.astype(np.float64)
-
-
-def as_vector(x, dim: int | None = None, name: str = "point") -> Vector:
-    """Validate and convert `x` to a finite float64 vector.
-
-    Raises InvalidInputError, whose message starts with `name`, on entries
-    that are not finite reals, empty input, or a dimension mismatch with `dim`.
-    """
-    v = real_array(x, name)
-    if v.ndim != 1 or v.size == 0:
-        raise InvalidInputError(f"{name} must be a nonempty 1-d vector, got shape {v.shape}")
-    if dim is not None and v.size != dim:
-        raise InvalidInputError(f"{name} must be a vector of dimension {dim}, got {v.size}")
-    if not np.isfinite(v).all():
-        raise InvalidInputError(f"{name} has non-finite components: {v}")
-    return v
 
 
 def valley_value(kappa, x1, x2):
@@ -234,9 +193,7 @@ def finite_diff_gradient(f: Objective, p, h: float = DEFAULT_GRADIENT_STEP) -> V
     x, h = _moving_step(p, h)
     g = np.empty(x.size)
     probes = []
-    for i in range(x.size):
-        step = np.zeros(x.size)
-        step[i] = h
+    for i, step in enumerate(h * np.eye(x.size)):
         probes += f.value(x + step), f.value(x - step)
         g[i] = (probes[-2] - probes[-1]) / (2.0 * h)
     _refuse_flat(f.value(x), probes, h, x)
@@ -251,14 +208,11 @@ def finite_diff_hessian(f: Objective, p, h: float = DEFAULT_HESSIAN_STEP) -> Mat
     n = x.size
     H = np.empty((n, n))
     f0, probes = f.value(x), []
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
+    steps = h * np.eye(n)  # row i is h e_i
+    for i, ei in enumerate(steps):
         probes += f.value(x + ei), f.value(x - ei)
         H[i, i] = (probes[-2] - 2.0 * f0 + probes[-1]) / (h * h)
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h
+        for j, ej in enumerate(steps[i + 1:], i + 1):
             probes += (f.value(x + ei + ej), f.value(x + ei - ej), f.value(x - ei + ej),
                        f.value(x - ei - ej))
             pp, pm, mp, mm = probes[-4:]

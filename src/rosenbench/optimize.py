@@ -27,7 +27,7 @@ from struct import Struct
 import numpy as np
 
 from .errors import (InvalidDirectionError, InvalidInputError, LineSearchFailedError,
-                     check_count, check_real)
+                     as_vector, check_count, check_real)
 from .linesearch import (
     ExactQuadratic,
     Fixed,
@@ -35,7 +35,7 @@ from .linesearch import (
     RandomQuadraticFit,
     StepRule,
 )
-from .objectives import Objective, QuadraticObjective, Vector, as_vector
+from .objectives import Objective, QuadraticObjective, Vector
 
 
 class RunStatus(Enum):
@@ -179,7 +179,7 @@ def _descent_loop(
     `restart_period`, and along the Fletcher-Reeves direction -g + beta*d
     otherwise: steepest descent is `restart_period` 1, and None never
     restarts.  A steepest-descent step is x - alpha*g, which equals
-    x + alpha*(-g) to the bit because negation is exact.
+    x + alpha*(-g) to the bit, but for the sign of a nan, as negation is exact.
 
     The start is validated once.  SD and CG on a fused objective (see
     Objective) then run in _pair_loop, Newton and any other run in
@@ -193,11 +193,12 @@ def _descent_loop(
     fixed_alpha = rule.alpha if isinstance(rule, Fixed) else None
     period = restart_period or policy.max_iterations + 1
     fused = rule is not None and hasattr(objective, "value_and_gradient")
-    loop = _pair_loop if fused else _array_loop
     # Divergence is data: an overflow or an invalid operation gives an inf or
     # a nan, which the loops' checks turn into a status, never a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        return loop(objective, x, policy, record_trajectory, select, rng, fixed_alpha, period)
+        if not fused:
+            return _array_loop(objective, x, policy, record_trajectory, select, rng, period)
+        return _pair_loop(objective, x, policy, record_trajectory, select, rng, fixed_alpha, period)
 
 
 def _pair_loop(objective, x, policy, record, select, rng, fixed_alpha, period) -> RunResult:
@@ -264,8 +265,9 @@ def _pair_loop(objective, x, policy, record, select, rng, fixed_alpha, period) -
         k += 1
 
 
-def _array_loop(objective, x, policy, record, select, rng, fixed_alpha, period) -> RunResult:
-    """_descent_loop on ndarrays: value and gradient, then hessian or a LineRestriction."""
+def _array_loop(objective, x, policy, record, select, rng, period) -> RunResult:
+    """_descent_loop on ndarrays: value and gradient, then hessian or a LineRestriction, on
+    which the rule selects every step (a fixed one probes nothing)."""
     newton, conjugate = select is None, period != 1
     rows, pack = array("d"), Struct(f"{x.size + 4}d").pack
     alpha = 0.0  # the step that produced x
@@ -301,15 +303,12 @@ def _array_loop(objective, x, policy, record, select, rng, fixed_alpha, period) 
             gg = float(np.dot(g, g))
             d = -g + fletcher_reeves_beta(g, g_prev, gg, gg_prev) * d if k % period else -g
             g_prev, gg_prev = g, gg
-        if fixed_alpha is not None:
-            alpha = fixed_alpha
         else:
-            if not conjugate:
-                d = -g
-            try:
-                alpha = select(LineRestriction(objective, x, d), rng)
-            except (LineSearchFailedError, InvalidDirectionError):
-                return _finish(rows, RunStatus.DIVERGED_NONFINITE, k, x.tolist(), f, gn, alpha)
+            d = -g
+        try:
+            alpha = select(LineRestriction(objective, x, d), rng)
+        except (LineSearchFailedError, InvalidDirectionError):
+            return _finish(rows, RunStatus.DIVERGED_NONFINITE, k, x.tolist(), f, gn, alpha)
         x = x + alpha * d if conjugate else x - alpha * g
         k += 1
 

@@ -408,6 +408,16 @@ class TestCsvBytes:
         with pytest.raises(InvalidInputError, match=f"record {at} has {dim} coordinates, not 2"):
             trajectory_csv(run_result(trajectory, 2))
 
+    @pytest.mark.parametrize("dim", [1, 3, 5])
+    def test_packed_rows_of_another_dimension_refused(self, dim):
+        # 7 rows of width 6 are 42 floats, which width 7 (dim 3) would regroup as 6 rows.
+        r = steepest_descent(RosenbrockObjective(1.0), (2.0, 2.0), Fixed(1e-3),
+                             TerminationPolicy(max_iterations=6))
+        rewrapped = RunResult(r.status, r.iterations, np.zeros(dim), r.final_value,
+                              r.final_grad_norm, r.trajectory)
+        with pytest.raises(InvalidInputError, match=f"trajectory has 2 coordinates, not {dim}"):
+            trajectory_csv(rewrapped)
+
 
 def records_digest(result):
     """A digest of every record's k, point dtype and bytes, value, grad_norm and alpha_used."""
@@ -441,6 +451,9 @@ class TestRecordsBuiltWhenRead:
                             "max_iter", 500, "16784a0b35d7da63"),
         "quadratic-7d-cg": (lambda: fletcher_reeves_cg(Q7, np.ones(7), ExactQuadratic()),
                             "converged", 8, "9e3ae3d9447776ce"),
+        "quadratic-7d-cg-fixed": (lambda: fletcher_reeves_cg(Q7, np.ones(7), Fixed(1e-3),
+                                                             TerminationPolicy(max_iterations=500)),
+                                  "converged", 276, "b04adc9e2631a71d"),
         "quadratic-7d-newton": (lambda: newton_raphson(Q7, np.ones(7)),
                                 "converged", 1, "3a60df875e3160e4"),
         # The final row holds a nan value and grad_norm at the point (-inf, 2e240).

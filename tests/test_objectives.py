@@ -22,8 +22,7 @@ from rosenbench import (
     finite_diff_hessian,
     steepest_descent,
 )
-from rosenbench.errors import check_real
-from rosenbench.objectives import as_vector
+from rosenbench.errors import as_vector, check_real
 
 
 @pytest.mark.parametrize(
