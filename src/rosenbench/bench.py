@@ -32,6 +32,7 @@ from .optimize import (
     RunResult,
     RunStatus,
     TerminationPolicy,
+    _check_policy,
     _Trajectory,
     fletcher_reeves_cg,
     newton_raphson,
@@ -75,9 +76,7 @@ class ExperimentMatrix:
             raise InvalidInputError(f"starts must be nonempty rows of points, got {self.starts!r}")
         starts = tuple(tuple(as_vector(s, 2, "start").tolist()) for s in starts)
         object.__setattr__(self, "starts", starts)
-        # A policy of another type would get past construction and fail in the first cell.
-        if not isinstance(self.policy, TerminationPolicy):
-            raise InvalidInputError(f"policy must be a TerminationPolicy, got {self.policy!r}")
+        _check_policy(self.policy)  # else it would get past construction and fail in a cell
         sd: list[tuple[str, StepRule | None]] = [("sd", Fixed(a)) for a in self.fixed_alphas]
         sd += [("sd", VariableCandidates()), ("sd", QuadraticFit()), ("sd", GoldenSection())]
         cells = sd + [("newton", None)] + [("cg", Fixed(a)) for a in self.fixed_alphas]
@@ -167,36 +166,25 @@ def run_matrix(matrix: ExperimentMatrix = ExperimentMatrix()) -> list[ResultRow]
     return rows
 
 
-_VARIANT_PREFIXES = {
-    "variable": "variable:",
-    "quadratic-fit": "quadfit:",
-    "golden-section": "golden:",
-}
-
-
-def compare_sd_variants(
-    rows: list[ResultRow],
-    kappa: float,
-    start: tuple[float, float],
-    fixed_alpha: float = 0.000124,
-) -> list[str]:
+def compare_sd_variants(rows: list[ResultRow], kappa: float, start: tuple[float, float]) -> list[str]:
     """Order the four steepest-descent step-rule variants by iteration count.
 
     Returns the labels {fixed, variable, quadratic-fit, golden-section}
-    sorted ascending by iterations, ties broken alphabetically.  Raises
-    IncomparableVariantsError naming the variant whose row is missing or
-    did not converge.
+    sorted ascending by iterations, ties broken alphabetically.  The fixed
+    variant is the study's smallest step, the others any row of their rule.
+    Raises IncomparableVariantsError naming the variant whose row is missing
+    or did not converge.
     """
     kappa = check_real("kappa", kappa)
     start = tuple(as_vector(start, 2, "start").tolist())
-    fixed_label = Fixed(fixed_alpha).label()
     counts: dict[str, int] = {}
-    for variant in ("fixed", "variable", "quadratic-fit", "golden-section"):
+    for variant, label in (("fixed", Fixed(min(DEFAULT_FIXED_ALPHAS)).label()),
+                           ("variable", "variable:"), ("quadratic-fit", "quadfit:"),
+                           ("golden-section", "golden:")):
         match = [
             r for r in rows
             if r.method == "sd" and r.kappa == kappa and r.x0 == start
-            and (r.step_rule == fixed_label if variant == "fixed"
-                 else r.step_rule.startswith(_VARIANT_PREFIXES[variant]))
+            and (r.step_rule == label if variant == "fixed" else r.step_rule.startswith(label))
         ]
         if not match:
             raise IncomparableVariantsError(

@@ -160,26 +160,18 @@ def _cmd_contour(config) -> int:
     return 0
 
 
-def _probe_grid() -> list[np.ndarray]:
-    pts = np.linspace(-2.0, 2.0, 5)
-    return [np.array([a, b]) for a in pts for b in pts]
-
-
 def _cmd_checkgrad(config) -> int:
-    objective = config.objective
-    grad_err = 0.0
-    hess_err = 0.0
-    # An undefined comparison such as inf - inf is nan, which np.maximum keeps.
-    with np.errstate(invalid="ignore"):
-        for p in _probe_grid():
-            ga = objective.gradient(p)
-            gf = finite_diff_gradient(objective, p)
-            grad_err = np.maximum(grad_err, np.max(np.abs(ga - gf)) / max(1.0, np.max(np.abs(ga))))
-            ha = objective.hessian(p)
-            hf = finite_diff_hessian(objective, p)
-            hess_err = np.maximum(hess_err, np.max(np.abs(ha - hf)) / max(1.0, np.max(np.abs(ha))))
-    print(f"gradient max_rel_err={fmt_real(grad_err)}")
-    print(f"hessian max_rel_err={fmt_real(hess_err)}")
+    objective, probes = config.objective, np.linspace(-2.0, 2.0, 5)
+    for name, analytic, oracle in (("gradient", objective.gradient, finite_diff_gradient),
+                                   ("hessian", objective.hessian, finite_diff_hessian)):
+        err = 0.0
+        # An undefined comparison such as inf - inf is nan, which np.maximum keeps.
+        with np.errstate(invalid="ignore"):
+            for p in (np.array([a, b]) for a in probes for b in probes):
+                exact = analytic(p)
+                err = np.maximum(err, np.max(np.abs(exact - oracle(objective, p)))
+                                 / max(1.0, np.max(np.abs(exact))))
+        print(f"{name} max_rel_err={fmt_real(err)}")
     return 0
 
 

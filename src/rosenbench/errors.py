@@ -1,9 +1,11 @@
 """Exception types shared across the package, and every internal check of its arguments:
 `is_real` is the one rule for a real, `SEQUENCE_TYPES` the one for what holds reals, and
-`check_real`, `check_count`, `real_array` and `as_vector` apply them."""
+`check_real`, `check_count`, `real_array` and `as_vector` apply them.  A refusal shows the
+value through `reprlib.repr`, which cuts a long or deeply nested one short."""
 
 import math
 import numbers
+import reprlib
 
 import numpy as np
 
@@ -43,38 +45,39 @@ def check_real(name: str, value, low: float = 0.0, *, closed=False, inf_ok=False
     if (v >= low if closed else v > low) and (inf_ok or v < math.inf):
         return v
     bound = f">= {low}" if closed else "positive" if low == 0.0 else f"> {low}"
-    raise InvalidInputError(f"{name} must be {bound}{'' if inf_ok else ' and finite'}, got {value!r}")
+    finite = "" if inf_ok else " and finite"
+    raise InvalidInputError(f"{name} must be {bound}{finite}, got {reprlib.repr(value)}")
 
 
 def check_count(name: str, value, low: int) -> int:
     """`value` as an int: an integer (Python or numpy), not a bool, at least `low`."""
     if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low:
         return int(value)
-    raise InvalidInputError(f"{name} must be an integer >= {low}, got {value!r}")
+    raise InvalidInputError(f"{name} must be an integer >= {low}, got {reprlib.repr(value)}")
 
 
-def _holds_reals(x) -> bool:
+def _holds_reals(x, depth: int = 1) -> bool:
     # An ndarray of integer or float dtype and at least one dimension, or another of
-    # SEQUENCE_TYPES whose every entry is a real (is_real) or holds reals in turn.
+    # SEQUENCE_TYPES, at most numpy's 64 dimensions deep, whose every entry is a real
+    # (is_real) or holds reals in turn.
     if isinstance(x, np.ndarray):
         return x.ndim > 0 and x.dtype.kind in "iuf"
-    return isinstance(x, SEQUENCE_TYPES) and all(is_real(e) or _holds_reals(e) for e in x)
+    return (isinstance(x, SEQUENCE_TYPES) and depth <= 64
+            and all(is_real(e) or _holds_reals(e, depth + 1) for e in x))
 
 
 def real_array(x, name: str = "array") -> np.ndarray:
     """`x` as a float64 array; InvalidInputError, whose message starts with `name`, unless
     `x` and its rows are SEQUENCE_TYPES and its entries reals (is_real).  So text,
     bytes, sets, dicts, iterators, bools, 0-d arrays, complex numbers and None are refused
-    as entries, rows or `x`, and so is a ragged nesting.  A float64 ndarray, such as a
-    driver's iterate, is returned as it is, unchecked."""
-    if not isinstance(x, SEQUENCE_TYPES):
-        raise InvalidInputError(f"{name} must be an array of reals, got {x!r}")
+    as entries, rows or `x`, and so is a ragged nesting or one deeper than 64 levels.
+    A float64 ndarray, such as a driver's iterate, is returned as it is."""
+    if not _holds_reals(x):
+        raise InvalidInputError(f"{name} must be an array of reals, got {reprlib.repr(x)}")
     try:
         v = np.asarray(x)
     except ValueError as exc:  # a ragged nesting, or one deeper than numpy reads
         raise InvalidInputError(f"{name} must be an array of reals: {exc}") from None
-    if not (v is x and v.dtype == np.float64 or _holds_reals(x)):
-        raise InvalidInputError(f"{name} must be an array of reals, got {x!r}")
     return v if v.dtype == np.float64 else v.astype(np.float64)
 
 

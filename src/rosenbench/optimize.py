@@ -185,6 +185,7 @@ def _descent_loop(
     Objective) then run in _pair_loop, Newton and any other run in
     _array_loop; both evaluate, test and step in the same order.
     """
+    _check_policy(policy)
     if isinstance(rule, ExactQuadratic) and not isinstance(objective, QuadraticObjective):
         raise InvalidInputError("the exact-quadratic rule requires a QuadraticObjective")
     x = as_vector(x0, getattr(objective, "dim", None), "start")
@@ -311,6 +312,12 @@ def _array_loop(objective, x, policy, record, select, rng, period) -> RunResult:
             return _finish(rows, RunStatus.DIVERGED_NONFINITE, k, x.tolist(), f, gn, alpha)
         x = x + alpha * d if conjugate else x - alpha * g
         k += 1
+
+
+def _check_policy(policy) -> None:
+    """Refuse a `policy` that is not a TerminationPolicy, which would fail in the first test."""
+    if not isinstance(policy, TerminationPolicy):
+        raise InvalidInputError(f"policy must be a TerminationPolicy, got {policy!r}")
 
 
 def _check_rule(method: str, rule) -> None:

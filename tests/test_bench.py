@@ -178,6 +178,20 @@ class TestCompareVariants:
         order = compare_sd_variants(rows, 1.0, (2.0, 2.0))
         assert order == ["golden-section", "quadratic-fit", "variable", "fixed"]
 
+    def test_decoy_rows_do_not_compete(self):
+        # The fixed variant is the 0.000124 step alone, though an earlier fixed row converges
+        # sooner; "quadfit-random:" does not start with "quadfit:".
+        rows = [
+            synthetic_row("fixed:0.0124", 5),
+            synthetic_row("quadfit-random:1.0000000000000001e-05,0.000124,seed=0", 1),
+            synthetic_row("fixed:0.00012400000000000001", 400),
+            synthetic_row("variable:0.1", 300),
+            synthetic_row("quadfit:0.1,0.2,0.3", 200),
+            synthetic_row("golden:0:1:1e-08", 100),
+        ]
+        order = compare_sd_variants(rows, 1.0, (2.0, 2.0))
+        assert order == ["golden-section", "quadratic-fit", "variable", "fixed"]
+
     def test_ties_break_alphabetically(self):
         rows = [
             synthetic_row("fixed:0.00012400000000000001", 7),

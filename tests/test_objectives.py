@@ -154,6 +154,21 @@ def test_every_judge_reads_a_real_alike(bad):
             call()
 
 
+def test_nesting_beyond_numpy_dimensions_refused():
+    # The judges stop at numpy's 64 dimensions and cut their messages short, so none of
+    # them recurses down a nesting deeper than the interpreter's stack.
+    deep = [1.0]
+    for _ in range(5000):
+        deep = [deep]
+    for x in (deep, [{1}, deep]):
+        with pytest.raises(InvalidInputError, match="^start must be an array of reals"):
+            steepest_descent(RosenbrockObjective(1.0), x, Fixed(0.1))
+    with pytest.raises(InvalidInputError, match="^kappa must be positive"):
+        RosenbrockObjective(deep)
+    with pytest.raises(InvalidInputError, match="^max_iterations must be an integer"):
+        TerminationPolicy(max_iterations=deep)
+
+
 def test_largest_64_bit_integers_are_reals():
     # numpy holds 2**63 as a uint64 and -2**63 as an int64.
     for big in (2**63, -2**63):
@@ -230,11 +245,12 @@ class TestQuadraticObjective:
         ([[np.array(True), 0.0], [0.0, 1.0]], "^Q must be an array of reals"),
         ([[2.0, 0.0], bytearray(b"\x00\x02")], "^Q must be an array of reals"),
         ([[2.0, 0.0], memoryview(b"\x00\x02")], "^Q must be an array of reals"),
+        (np.array(2.0), "^Q must be an array of reals"),
         (np.ones((2, 3)), "^Q must be square"),
         ([[math.inf, 0.0], [0.0, 1.0]], "^Q has non-finite entries"),
         ([[1.0, 0.0], [0.0, math.nan]], "^Q has non-finite entries"),
     ], ids=["text", "ragged", "complex", "dict", "bool", "mixed-bool", "0-d-bool", "bytearray-row",
-        "memoryview-row", "not-square", "inf", "nan"])
+        "memoryview-row", "0-d-float64", "not-square", "inf", "nan"])
     def test_bad_Q_rejected(self, Q, reason):
         with pytest.raises(InvalidInputError, match=reason):
             QuadraticObjective(Q, [0.0, 0.0])

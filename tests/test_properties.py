@@ -303,6 +303,12 @@ REFUSALS = {
     "steepest_descent.x0": (lambda v: steepest_descent(valley, v, Fixed(0.1)), bad_points),
     "fletcher_reeves_cg.x0": (lambda v: fletcher_reeves_cg(valley, v, Fixed(0.1)), bad_points),
     "newton_raphson.x0": (lambda v: newton_raphson(valley, v), bad_points),
+    "steepest_descent.policy": (lambda v: steepest_descent(valley, (2.0, 2.0), Fixed(0.1), v),
+                                bad_reals(st.floats())),
+    "fletcher_reeves_cg.policy": (lambda v: fletcher_reeves_cg(valley, (2.0, 2.0), Fixed(0.1), v),
+                                  bad_reals(st.floats())),
+    "newton_raphson.policy": (lambda v: newton_raphson(valley, (2.0, 2.0), v),
+                              bad_reals(st.floats())),
     "RosenbrockObjective.value": (valley.value, st.one_of(bad_points, non_sequences)),
     "RosenbrockObjective.gradient": (valley.gradient, st.one_of(bad_points, non_sequences)),
     "RosenbrockObjective.hessian": (valley.hessian, st.one_of(bad_points, non_sequences)),
