@@ -1,11 +1,11 @@
 """Benchmark harness: the full experiment grid, contour data, CSV output.
 
-The default :class:`ExperimentMatrix` sweeps every optimizer cell of the
-convergence study -- steepest descent under the four step rules, the
-Fletcher-Reeves method under the fixed steps, and Newton-Raphson -- over
-kappa in {1, 100} and starting points (2,2) and (5,5), stopping at a
-gradient norm of 1e-3.  Rows come back in a fixed order and rerunning the
-matrix reproduces them bit-for-bit except for wall-clock timings.
+:class:`ExperimentMatrix` sweeps every optimizer cell of the convergence
+study -- steepest descent under the four step rules, the Fletcher-Reeves
+method under the fixed steps, and Newton-Raphson -- over kappa in {1, 100}
+and starting points (2,2) and (5,5), stopping at a gradient norm of 1e-3.
+Rows come back in a fixed order and rerunning the matrix reproduces them
+bit-for-bit except for wall-clock timings.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (IncomparableVariantsError, InvalidInputError, as_vector, check_count,
-                     check_real, real_array)
+from .errors import IncomparableVariantsError, InvalidInputError, as_vector, check_count, check_real
 from .linesearch import (
     Fixed,
     GoldenSection,
@@ -54,37 +53,27 @@ def rule_label(rule: StepRule | None) -> str:
     return "none" if rule is None else rule.label()
 
 
+# The study's cells, built once; a fixed step's SD and CG cells share its one rule.
+_FIXED = [Fixed(a) for a in DEFAULT_FIXED_ALPHAS]
+_CELLS = (*[("sd", r) for r in _FIXED], ("sd", VariableCandidates()), ("sd", QuadraticFit()),
+          ("sd", GoldenSection()), ("newton", None), *[("cg", r) for r in _FIXED])
+
+
 @dataclass(frozen=True)
 class ExperimentMatrix:
-    """Cross product of methods, step rules, kappas, and starting points."""
+    """The study's cells over its kappas and starting points, run under `policy`."""
 
-    kappas: tuple[float, ...] = (1.0, 100.0)
-    starts: tuple[tuple[float, float], ...] = ((2.0, 2.0), (5.0, 5.0))
-    fixed_alphas: tuple[float, ...] = DEFAULT_FIXED_ALPHAS
+    kappas = (1.0, 100.0)
+    starts = ((2.0, 2.0), (5.0, 5.0))
+    fixed_alphas = DEFAULT_FIXED_ALPHAS
     policy: TerminationPolicy = TerminationPolicy()
 
     def __post_init__(self):
-        """Refuse a bad field here, so that `run_matrix` never stops part-way.
-
-        Each field is read as a vector, `starts` as rows of two, and keeps the floats
-        its checks return.  The step rules are built once, here; `cells` hands them out."""
-        for name, each in (("kappas", "kappa"), ("fixed_alphas", "fixed step")):
-            reals = as_vector(getattr(self, name), name=name).tolist()
-            object.__setattr__(self, name, tuple(check_real(each, v) for v in reals))
-        starts = real_array(self.starts, "starts")
-        if starts.ndim != 2 or not starts.size:
-            raise InvalidInputError(f"starts must be nonempty rows of points, got {self.starts!r}")
-        starts = tuple(tuple(as_vector(s, 2, "start").tolist()) for s in starts)
-        object.__setattr__(self, "starts", starts)
         _check_policy(self.policy)  # else it would get past construction and fail in a cell
-        sd: list[tuple[str, StepRule | None]] = [("sd", Fixed(a)) for a in self.fixed_alphas]
-        sd += [("sd", VariableCandidates()), ("sd", QuadraticFit()), ("sd", GoldenSection())]
-        cells = sd + [("newton", None)] + [("cg", Fixed(a)) for a in self.fixed_alphas]
-        object.__setattr__(self, "_cells", tuple(cells))
 
     def cells(self) -> list[tuple[str, StepRule | None]]:
         """Deterministic cell order: SD fixed sweep, SD adaptive rules, Newton, CG fixed sweep."""
-        return list(self._cells)
+        return list(_CELLS)
 
 
 @dataclass(frozen=True)

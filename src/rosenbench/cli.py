@@ -185,9 +185,5 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if isinstance(exc, InvalidInputError) else 1
 
 
-def entrypoint():
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

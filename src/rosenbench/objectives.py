@@ -201,7 +201,7 @@ def finite_diff_gradient(f: Objective, p, h: float = DEFAULT_GRADIENT_STEP) -> V
 
 
 def finite_diff_hessian(f: Objective, p, h: float = DEFAULT_HESSIAN_STEP) -> Matrix:
-    """Central second-difference Hessian oracle, symmetrized with its transpose."""
+    """Central second-difference Hessian oracle; each H[i, j] is also H[j, i], so H is symmetric."""
     x, h = _moving_step(p, h)
     if h * h == 0.0:  # the divisor
         raise InvalidInputError(f"finite-difference step {h!r} is so small that h*h is zero")
@@ -218,4 +218,4 @@ def finite_diff_hessian(f: Objective, p, h: float = DEFAULT_HESSIAN_STEP) -> Mat
             pp, pm, mp, mm = probes[-4:]
             H[i, j] = H[j, i] = (pp - pm - mp + mm) / (4.0 * h * h)
     _refuse_flat(f0, probes, h, x)
-    return 0.5 * (H + H.T)
+    return H

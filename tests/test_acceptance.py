@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from rosenbench import (
     ExactQuadratic,

@@ -1,5 +1,6 @@
 """Tests for the benchmark matrix, contour grid, and CSV emission."""
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -38,8 +39,6 @@ from rosenbench import (
 from rosenbench import optimize
 from rosenbench.bench import RESULTS_HEADER, rule_label, run_cell, run_method, status_label
 
-SMALL = ExperimentMatrix(kappas=(1.0,), starts=((2.0, 2.0),), fixed_alphas=(0.0124,))
-
 
 def synthetic_row(variant_rule, iterations, status="converged", kappa=1.0, start=(2.0, 2.0)):
     return ResultRow(
@@ -56,17 +55,22 @@ def synthetic_row(variant_rule, iterations, status="converged", kappa=1.0, start
     )
 
 
+@pytest.fixture(scope="module")
+def study_rows():
+    return run_matrix()
+
+
 class TestRunMatrix:
-    def test_row_count_and_order(self):
-        rows = run_matrix(SMALL)
-        cells = SMALL.cells()
-        assert len(rows) == len(cells) * len(SMALL.kappas) * len(SMALL.starts)
-        labels = [(r.method, r.step_rule, r.kappa, r.x0) for r in rows]
+    def test_row_count_and_order(self, study_rows):
+        study = ExperimentMatrix()
+        cells = study.cells()
+        assert len(study_rows) == len(cells) * len(study.kappas) * len(study.starts)
+        labels = [(r.method, r.step_rule, r.kappa, r.x0) for r in study_rows]
         expected = [
             (m, rule_label(rule), k, s)
             for (m, rule) in cells
-            for k in SMALL.kappas
-            for s in SMALL.starts
+            for k in study.kappas
+            for s in study.starts
         ]
         assert labels == expected
 
@@ -76,6 +80,9 @@ class TestRunMatrix:
         assert len(cells) == 12
         methods = [m for m, _ in cells]
         assert methods == ["sd"] * 7 + ["newton"] + ["cg"] * 4
+        # One rule per fixed step, shared by its SD and CG cells: seven rules in all.
+        assert all(sd is cg for (_, sd), (_, cg) in zip(cells[:4], cells[8:]))
+        assert len({id(rule) for _, rule in cells if rule is not None}) == 7
 
     def test_default_matrix_matches_study_setup(self):
         m = ExperimentMatrix()
@@ -83,32 +90,48 @@ class TestRunMatrix:
         assert m.starts == ((2.0, 2.0), (5.0, 5.0))
         assert m.fixed_alphas == (0.124, 0.0124, 0.00124, 0.000124)
         assert m.policy.epsilon == 1e-3
+        # The grid is the study's; a caller sets the policy alone.
+        assert [f.name for f in dataclasses.fields(ExperimentMatrix)] == ["policy"]
 
     @pytest.mark.parametrize("field, value", [
-        ("kappas", (1.0, -1.0)),
-        ("starts", ((2.0, 2.0), (math.inf, 1.0))),
-        ("fixed_alphas", (0.1, -1.0)),
+        ("kappas", (1.0,)),
+        ("starts", ((2.0, 2.0),)),
+        ("fixed_alphas", (0.0124,)),
     ])
-    def test_bad_field_refused_at_construction(self, field, value):
-        # Not part-way through run_matrix, after the first cells have run.
-        with pytest.raises(InvalidInputError):
+    def test_grid_is_not_an_argument(self, field, value):
+        # Refused, not ignored: no caller runs a smaller grid believing it the study.
+        with pytest.raises(TypeError):
             ExperimentMatrix(**{field: value})
 
-    def test_rows_reproducible_modulo_wall_clock(self):
-        a = results_csv(run_matrix(SMALL))
-        b = results_csv(run_matrix(SMALL))
+    def test_cells_are_built_once(self):
+        cells = ExperimentMatrix().cells()
+        other = ExperimentMatrix(policy=TerminationPolicy(max_iterations=5)).cells()
+        assert all(a is b for a, b in zip(cells, other, strict=True))
+        cells.clear()  # a caller's list, not the study's
+        assert ExperimentMatrix().cells() == other
+
+    def test_policy_reaches_every_row(self):
+        rows = run_matrix(ExperimentMatrix(policy=TerminationPolicy(max_iterations=3)))
+        assert len(rows) == 48
+        assert all(r.iterations <= 3 for r in rows)
+        assert {r.status for r in rows} >= {"max_iter"}
+
+    def test_rows_reproducible_modulo_wall_clock(self, study_rows):
+        a = results_csv(study_rows)
+        b = results_csv(run_matrix())
         strip = lambda text: [line.rsplit(",", 1)[0] for line in text.splitlines()]
         assert strip(a) == strip(b)
 
-    def test_converged_rows_verify_independently(self):
+    def test_converged_rows_verify_independently(self, study_rows):
         policy = TerminationPolicy()
-        for row in run_matrix(SMALL):
+        for row in study_rows:
             if row.status == "converged":
                 g = RosenbrockObjective(row.kappa).gradient(row.final_point)
                 assert math.hypot(*g) <= policy.epsilon
 
-    def test_known_outcomes(self):
-        rows = {(r.method, r.step_rule): r for r in run_matrix(SMALL)}
+    def test_known_outcomes(self, study_rows):
+        rows = {(r.method, r.step_rule): r for r in study_rows
+                if r.kappa == 1.0 and r.x0 == (2.0, 2.0)}
         assert rows[("sd", "fixed:0.0124")].status == "converged"
         assert rows[("newton", "none")].status == "converged"
         assert rows[("newton", "none")].iterations <= 50

@@ -317,6 +317,20 @@ class TestCheckgradCommand:
             "gradient max_rel_err=nan", "hessian max_rel_err=nan",
         ]
 
+    @pytest.mark.parametrize("kappa, expected", [
+        ("2.5e306", ["gradient max_rel_err=9.9992236715940219e+294", "hessian max_rel_err=inf"]),
+        ("3e306", ["gradient max_rel_err=1.1999068405459025e+295", "hessian max_rel_err=inf"]),
+        ("1e307", ["gradient max_rel_err=nan", "hessian max_rel_err=nan"]),
+        ("1e308", ["gradient max_rel_err=nan", "hessian max_rel_err=nan"]),
+    ])
+    def test_hessian_oracle_near_the_float_limit_warns_nothing(self, capsys, kappa, expected):
+        # At kappa 3e306 the oracle's H[0, 0] at (2, 2) is about 1.2e308.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["checkgrad", "--kappa", kappa])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == expected
+
 
 def test_python_m_runs_the_cli():
     src = str(Path(cli.__file__).resolve().parents[1])

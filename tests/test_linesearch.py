@@ -28,7 +28,6 @@ from rosenbench.linesearch import (
     INV_PHI,
     INV_PHI_SQ,
     LineRestriction,
-    parse_rule,
     select_step,
 )
 

@@ -10,7 +10,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rosenbench import (
-    ExperimentMatrix,
     Fixed,
     GoldenSection,
     InvalidInputError,
@@ -147,7 +146,7 @@ def test_every_judge_reads_a_real_alike(bad):
     # entry of Q refuse the same values.
     valley = RosenbrockObjective(1.0)
     for call in (lambda: check_real("kappa", bad), lambda: VariableCandidates((0.1, bad)),
-                 lambda: ExperimentMatrix(kappas=(1.0, bad)), lambda: valley.value((bad, 2.0)),
+                 lambda: valley.value((bad, 2.0)),
                  lambda: steepest_descent(valley, (bad, 2.0), Fixed(0.1)),
                  lambda: QuadraticObjective([[bad, 0.0], [0.0, 1.0]], [0.0, 0.0])):
         with pytest.raises(InvalidInputError):
@@ -334,6 +333,12 @@ class TestFiniteDifferences:
         fd = finite_diff_hessian(f, (2.0, 2.0), 1e-4)
         assert_allclose(fd, [[4002.0, -800.0], [-800.0, 200.0]], rtol=0, atol=1e-2)
 
+    def test_hessian_near_the_float_limit_is_finite(self):
+        # H[0, 0] is about 1.2e308; adding it to itself, as a symmetrization would, overflows.
+        fd = finite_diff_hessian(RosenbrockObjective(3e306), (2.0, 2.0))
+        assert np.isfinite(fd).all() and (fd == fd.T).all()
+        assert_allclose(fd, [[1.2e308, -2.4e307], [-2.4e307, 6e306]], rtol=1e-6)
+
     def test_bad_step_rejected(self):
         f = RosenbrockObjective(1.0)
         with pytest.raises(InvalidInputError):
@@ -434,4 +439,3 @@ def test_as_vector_and_vector_fields_accept_the_same_containers(container, accep
 
     assert accepts(lambda c: as_vector(c, 2)) is accepted
     assert accepts(VariableCandidates) is accepted
-    assert accepts(lambda c: ExperimentMatrix(kappas=c)) is accepted

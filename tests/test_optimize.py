@@ -15,7 +15,6 @@ from numpy.testing import assert_allclose
 
 from rosenbench import (
     ExactQuadratic,
-    ExperimentMatrix,
     Fixed,
     GoldenSection,
     InvalidInputError,
@@ -632,15 +631,6 @@ class TestCheckedFieldsAreKept:
         # The fields a caller passes; GoldenSection's derived schedule is not one.
         fields = [f for f in dataclasses.fields(value) if f.init]
         assert tuple(type(getattr(value, f.name)) for f in fields) == types
-
-    def test_experiment_matrix_keeps_floats(self):
-        m = ExperimentMatrix(kappas=(self.F32(1.0), 100), starts=np.array([[2, 2], [5, 5]]),
-                             fixed_alphas=[self.F32(0.5)])
-        assert (m.kappas, m.starts, m.fixed_alphas) == ((1.0, 100.0), ((2.0, 2.0), (5.0, 5.0)),
-                                                        (0.5,))
-        fields = (m.kappas, *m.starts, m.fixed_alphas)
-        assert {type(f) for f in fields} == {tuple}
-        assert {type(v) for f in fields for v in f} == {float}
 
     def test_float32_epsilon_converges_as_its_float_twin(self):
         # The start's gradient norm lies between epsilon and its float32 rounding.
