@@ -21,7 +21,6 @@ from .linesearch import (
     ExactQuadratic,
     Fixed,
     GoldenSection,
-    LineRestriction,
     QuadraticFit,
     RandomQuadraticFit,
     StepRule,
@@ -55,7 +54,6 @@ __all__ = [
     "InvalidDirectionError",
     "InvalidInputError",
     "IterateRecord",
-    "LineRestriction",
     "LineSearchFailedError",
     "QuadraticFit",
     "QuadraticObjective",

@@ -31,7 +31,7 @@ from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .errors import (InvalidDirectionError, InvalidInputError, LineSearchFailedError,
                      as_vector, check_count, check_real, real_array)
-from .objectives import Objective, QuadraticObjective
+from .objectives import Objective, QuadraticObjective, RosenbrockObjective
 
 # Golden ratio conjugate: bracket width shrinks by this factor per probe.
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -43,7 +43,7 @@ DEFAULT_GOLDEN_LO = 1.24e-6
 DEFAULT_GOLDEN_HI = 1.5
 DEFAULT_GOLDEN_WIDTH_TOL = 1e-8
 
-#: A restriction phi(a) = f(x + a*d): a LineRestriction or a fused objective's ``line``.
+#: A restriction phi(a) = f(x + a*d): the valley's ``line`` or a _LineRestriction.
 Line = Callable[[float], float]
 
 # A fitted quadratic coefficient at or below this is treated as degenerate
@@ -279,7 +279,7 @@ class ExactQuadratic:
         The step may be negative along a direction that climbs.  An overflow
         of d'Qd or of g'd leaves no usable step and raises LineSearchFailedError.
         """
-        objective = getattr(line, "objective", None)  # a fused objective's phi has none
+        objective = getattr(line, "objective", None)  # the valley's phi has none
         if not isinstance(objective, QuadraticObjective):
             raise InvalidInputError("exact line minimization requires a QuadraticObjective")
         d = line.d
@@ -334,14 +334,14 @@ def parse_rule(text: str) -> StepRule:
     )
 
 
-class LineRestriction:
+class _LineRestriction:
     """The slice phi(a) = f(x + a*d) of an objective along direction d.
 
     A probe fails when its point is not finite, its value is not finite, or
     the objective raises OverflowError or InvalidInputError there; a failed
     probe reads +inf, so selectors treat it as an ordinary non-finite value.
-    The drivers build one per adaptive step of an objective that is not
-    fused; `restrict` builds a validated one.
+    The ndarray loop builds one per adaptive step; `restrict` builds a
+    validated one.
     """
 
     def __init__(self, objective: Objective, x, d):
@@ -364,8 +364,8 @@ class LineRestriction:
 def restrict(objective: Objective, x, d) -> Line:
     """Build the restriction phi(a) = f(x + a*d); phi(0) equals f(x).
 
-    A fused objective (see Objective) gives the plain callable of its
-    ``line``; any other a LineRestriction.  Raises InvalidInputError for a
+    The valley gives the plain callable of its ``line``; any other
+    objective a _LineRestriction.  Raises InvalidInputError for a
     point of the wrong dimension or a point or direction that is not made
     of reals, and InvalidDirectionError for a zero or non-finite direction.
     """
@@ -377,9 +377,9 @@ def restrict(objective: Objective, x, d) -> Line:
         raise InvalidDirectionError(f"direction has non-finite components: {d}")
     if not np.any(d != 0.0):
         raise InvalidDirectionError("direction must be nonzero")
-    if hasattr(objective, "value_and_gradient"):
+    if isinstance(objective, RosenbrockObjective):
         return objective.line(tuple(x.tolist()), tuple(d.tolist()))
-    return LineRestriction(objective, x, d)
+    return _LineRestriction(objective, x, d)
 
 
 def select_step(line: Line, rule: StepRule,

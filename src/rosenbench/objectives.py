@@ -35,16 +35,6 @@ class Objective(Protocol):
     """A real function of an n-vector with first and second derivatives.
 
     ``hessian`` may raise for objectives that do not supply one.
-
-    A two-dimensional objective may also be fused: ``value_and_gradient(x1,
-    x2)`` returns the floats ``(f, g1, g2)``, and ``line(x, d)``, at pairs x
-    and d, returns phi(a) = f(x + a*d) as a plain callable that reads +inf
-    wherever f is not finite; every argument is a finite Python float,
-    already validated.  SD and CG run a fused objective in the drivers' float-pair
-    loop through these two methods alone, and any other in the ndarray loop, where
-    Newton-Raphson runs every objective through ``value``, ``gradient`` and
-    ``hessian``.  A ``RosenbrockObjective`` subclass that changes f overrides
-    ``line``, ``hessian`` and ``value_and_gradient``, which ``value`` and ``gradient`` call.
     """
 
     def value(self, x: Vector) -> float: ...
@@ -66,7 +56,12 @@ def valley_value(kappa, x1, x2):
 
 
 class RosenbrockObjective:
-    """The kappa-parameterized valley function, fixed at dimension 2."""
+    """The kappa-parameterized valley function, fixed at dimension 2.
+
+    SD and CG run it, and any subclass, in the drivers' float-pair loop through
+    ``value_and_gradient`` and ``line`` alone, and Newton through ``hessian``; a
+    subclass that changes f overrides all three (``value`` and ``gradient`` call the first).
+    """
 
     dim = 2
 
@@ -94,7 +89,7 @@ class RosenbrockObjective:
         return np.array([[12.0 * k * x1 * x1 - 4.0 * k * x2 + 2.0, off], [off, 2.0 * k]])
 
     def value_and_gradient(self, x1: float, x2: float) -> tuple[float, float, float]:
-        """(f, g1, g2) at validated floats x1, x2 (see Objective); f as in valley_value."""
+        """The floats (f, g1, g2) at validated finite floats x1, x2; f as in valley_value."""
         k = self.kappa
         t = x1 * x1 - x2
         u = x1 - 1.0

@@ -28,14 +28,8 @@ import numpy as np
 
 from .errors import (InvalidDirectionError, InvalidInputError, LineSearchFailedError,
                      as_vector, check_count, check_real)
-from .linesearch import (
-    ExactQuadratic,
-    Fixed,
-    LineRestriction,
-    RandomQuadraticFit,
-    StepRule,
-)
-from .objectives import Objective, QuadraticObjective, Vector
+from .linesearch import ExactQuadratic, Fixed, RandomQuadraticFit, StepRule, _LineRestriction
+from .objectives import Objective, QuadraticObjective, RosenbrockObjective, Vector
 
 
 class RunStatus(Enum):
@@ -96,7 +90,8 @@ class RunResult:
     final_point: Vector
     final_value: float
     final_grad_norm: float
-    trajectory: Sequence[IterateRecord] = field(default_factory=list)
+    # A repr would build every record; repr(result.trajectory) still shows them.
+    trajectory: Sequence[IterateRecord] = field(default_factory=list, repr=False)
 
 
 def fletcher_reeves_beta(g_next, g, gg_next: float, gg: float) -> float:
@@ -181,8 +176,8 @@ def _descent_loop(
     restarts.  A steepest-descent step is x - alpha*g, which equals
     x + alpha*(-g) to the bit, but for the sign of a nan, as negation is exact.
 
-    The start is validated once.  SD and CG on a fused objective (see
-    Objective) then run in _pair_loop, Newton and any other run in
+    The start is validated once.  SD and CG on the valley (a
+    RosenbrockObjective) then run in _pair_loop, Newton and any other run in
     _array_loop; both evaluate, test and step in the same order.
     """
     _check_policy(policy)
@@ -193,17 +188,17 @@ def _descent_loop(
     select = None if rule is None else rule.select
     fixed_alpha = rule.alpha if isinstance(rule, Fixed) else None
     period = restart_period or policy.max_iterations + 1
-    fused = rule is not None and hasattr(objective, "value_and_gradient")
     # Divergence is data: an overflow or an invalid operation gives an inf or
     # a nan, which the loops' checks turn into a status, never a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        if not fused:
-            return _array_loop(objective, x, policy, record_trajectory, select, rng, period)
-        return _pair_loop(objective, x, policy, record_trajectory, select, rng, fixed_alpha, period)
+        if rule is not None and isinstance(objective, RosenbrockObjective):
+            return _pair_loop(objective, x, policy, record_trajectory, select, rng, fixed_alpha,
+                              period)
+        return _array_loop(objective, x, policy, record_trajectory, select, rng, period)
 
 
 def _pair_loop(objective, x, policy, record, select, rng, fixed_alpha, period) -> RunResult:
-    """_descent_loop under SD or CG on a fused objective, with x, g and d as floats.
+    """_descent_loop under SD or CG on the valley, with x, g and d as floats.
 
     An iterate other than the start and the cap skips _judge when it is inside the box of
     _guard_edge, its value is finite and a gradient component lies outside [-epsilon,
@@ -267,7 +262,7 @@ def _pair_loop(objective, x, policy, record, select, rng, fixed_alpha, period) -
 
 
 def _array_loop(objective, x, policy, record, select, rng, period) -> RunResult:
-    """_descent_loop on ndarrays: value and gradient, then hessian or a LineRestriction, on
+    """_descent_loop on ndarrays: value and gradient, then hessian or a _LineRestriction, on
     which the rule selects every step (a fixed one probes nothing)."""
     newton, conjugate = select is None, period != 1
     rows, pack = array("d"), Struct(f"{x.size + 4}d").pack
@@ -307,7 +302,7 @@ def _array_loop(objective, x, policy, record, select, rng, period) -> RunResult:
         else:
             d = -g
         try:
-            alpha = select(LineRestriction(objective, x, d), rng)
+            alpha = select(_LineRestriction(objective, x, d), rng)
         except (LineSearchFailedError, InvalidDirectionError):
             return _finish(rows, RunStatus.DIVERGED_NONFINITE, k, x.tolist(), f, gn, alpha)
         x = x + alpha * d if conjugate else x - alpha * g

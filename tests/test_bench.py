@@ -525,6 +525,23 @@ class TestRecordsBuiltWhenRead:
         assert records_digest(result) == digest
         assert text == reference_trajectory_csv(result)
 
+    @pytest.mark.parametrize("case", ["valley-sd", "quadratic-7d-sd"])
+    def test_repr_builds_no_records(self, case, monkeypatch):
+        # A run's repr names how it ended; only repr(result.trajectory) builds the records.
+        run, status, iterations, _ = self.CASES[case]
+        result = run()
+
+        def refuse(*args):
+            raise AssertionError("an IterateRecord was built")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(optimize, "IterateRecord", refuse)
+            text = repr(result)
+        named = f"status=<RunStatus.{result.status.name}: '{status}'>, iterations={iterations},"
+        assert named in text
+        assert "trajectory" not in text
+        assert repr(result.trajectory).startswith("[IterateRecord(k=0, ")
+
 
 class Float64Bowl:
     """x'x with only value and gradient, whose value is a np.float64."""

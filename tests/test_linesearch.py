@@ -24,12 +24,7 @@ from rosenbench import (
     restrict,
 )
 from rosenbench import linesearch
-from rosenbench.linesearch import (
-    INV_PHI,
-    INV_PHI_SQ,
-    LineRestriction,
-    select_step,
-)
+from rosenbench.linesearch import INV_PHI, INV_PHI_SQ, _LineRestriction, select_step
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -85,7 +80,7 @@ class TestRestrict:
             restrict(RosenbrockObjective(1.0), (1.0, 2.0, 3.0), (1.0, 0.0, 0.0))
 
     def test_valley_restriction_probes_on_floats(self):
-        # restrict() on the valley gives the phi of its fused `line`, which
+        # restrict() on the valley gives the phi of its own `line`, which
         # agrees bit for bit with the ndarray restriction through value(),
         # overflowing probes included.
         rng = np.random.default_rng(19)
@@ -93,7 +88,7 @@ class TestRestrict:
             obj = RosenbrockObjective(float(rng.uniform(0.5, 150.0)))
             x, d = rng.uniform(-3.0, 3.0, 2), rng.standard_normal(2)
             line = restrict(obj, x, d)
-            generic = LineRestriction(obj, x, d)
+            generic = _LineRestriction(obj, x, d)
             for a in [*(10.0 ** rng.uniform(-6.0, 1.0, 5)).tolist(), 1e77, 1e160, 1e308, math.inf]:
                 assert line(a) == generic(a)
                 assert type(line(a)) is float

@@ -88,7 +88,7 @@ def test_fused_value_and_gradient_bit_identical(kappa):
 
 
 def test_value_and_gradient_and_line_are_the_override_points():
-    # A fused subclass that changes f overrides both methods; value,
+    # A subclass that changes f overrides both methods; value,
     # gradient and a golden-section run then follow its f.  A tilt moves the
     # minimizer along every line, so a phi left on the plain valley would
     # pick other steps than the reference below.

@@ -541,8 +541,45 @@ class TestFailedProbeRepro:
         assert all(rec.alpha_used == 0.1 for rec in r.trajectory[1:])
 
 
+class ScipyStyleBowl:
+    """x'x in any dimension, with its own value_and_gradient(x) -> (f, g) as scipy takes it."""
+
+    def value(self, x):
+        return float(x @ x)
+
+    def gradient(self, x):
+        return 2.0 * x
+
+    def hessian(self, x):
+        return 2.0 * np.eye(len(x))
+
+    def value_and_gradient(self, x):
+        return self.value(x), self.gradient(x)
+
+
+class TestOnlyTheValleyIsFused:
+    """An objective that is not a RosenbrockObjective runs through value, gradient and
+    hessian, whatever other methods it defines."""
+
+    @pytest.mark.parametrize("x0", [(3.0, -4.0), (1.0, 2.0, -2.0)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("run", [
+        lambda f, x0: steepest_descent(f, x0, Fixed(0.25)),
+        lambda f, x0: steepest_descent(f, x0, GoldenSection()),
+        lambda f, x0: fletcher_reeves_cg(f, x0, Fixed(0.25)),
+        newton_raphson,
+    ], ids=["sd-fixed", "sd-golden", "cg-fixed", "newton"])
+    def test_duck_objective_with_its_own_value_and_gradient_converges(self, run, x0):
+        r = run(ScipyStyleBowl(), x0)
+        assert r.status is RunStatus.CONVERGED
+        assert r.final_point.shape == (len(x0),)
+
+    def test_restrict_probes_through_value(self):
+        bowl, x, d = ScipyStyleBowl(), np.array([1.0, 2.0, -2.0]), np.array([-1.0, 0.5, 3.0])
+        assert restrict(bowl, x, d)(0.5) == bowl.value(x + 0.5 * d)
+
+
 class CountingValley(RosenbrockObjective):
-    """The fused valley, counting its calls of value, gradient and hessian."""
+    """The valley, counting its calls of value, gradient and hessian."""
 
     def __init__(self, kappa):
         super().__init__(kappa)
@@ -599,7 +636,7 @@ class TestNewtonRaphson:
         assert r.status is RunStatus.CONVERGED
         assert r.iterations <= 50
 
-    # Newton runs in the ndarray loop on every objective, the fused valley included: one
+    # Newton runs in the ndarray loop on every objective, the valley included: one
     # value and one gradient per iterate, one hessian per step or singular stop.
     @pytest.mark.parametrize("kappa", [1.0, 100.0])
     @pytest.mark.parametrize("x0", [(2.0, 2.0), (5.0, 5.0)])
@@ -689,16 +726,8 @@ def reference_cg_points(objective, x0, rule, steps, restart_period=None):
     return points
 
 
-class UnitBowl:
-    """0.5*(x1^2 + x2^2) with a fused kernel, so drivers take the float-pair path."""
-
-    dim = 2
-
-    def value(self, x):
-        return 0.5 * float(x[0] * x[0] + x[1] * x[1])
-
-    def gradient(self, x):
-        return np.array([float(x[0]), float(x[1])])
+class UnitBowl(RosenbrockObjective):
+    """0.5*(x1^2 + x2^2) as a valley subclass, so SD and CG take the float-pair path."""
 
     def value_and_gradient(self, x1, x2):
         return 0.5 * (x1 * x1 + x2 * x2), x1, x2
