@@ -35,7 +35,6 @@ from .objectives import (
     finite_diff_hessian,
 )
 from .optimize import (
-    IterateRecord,
     RunResult,
     RunStatus,
     TerminationPolicy,
@@ -53,7 +52,6 @@ __all__ = [
     "IncomparableVariantsError",
     "InvalidDirectionError",
     "InvalidInputError",
-    "IterateRecord",
     "LineSearchFailedError",
     "QuadraticFit",
     "QuadraticObjective",

@@ -11,9 +11,10 @@ bit-for-bit except for wall-clock timings.
 from __future__ import annotations
 
 import math
+import reprlib
 import time
-from array import array
 from dataclasses import dataclass
+from struct import unpack
 
 import numpy as np
 
@@ -32,10 +33,10 @@ from .optimize import (
     RunStatus,
     TerminationPolicy,
     _check_policy,
-    _Trajectory,
     fletcher_reeves_cg,
     newton_raphson,
     steepest_descent,
+    trajectory_dtype,
 )
 
 DEFAULT_FIXED_ALPHAS = (0.124, 0.0124, 0.00124, 0.000124)
@@ -248,31 +249,27 @@ def results_csv(rows: list[ResultRow]) -> str:
 def trajectory_csv(result: RunResult) -> str:
     """Iterate history as CSV, one coordinate column per dimension of `final_point`.
 
-    A run's trajectory is written from its rows, without building its records."""
+    The trajectory must be an array of trajectory_dtype(dim), whose records are written from
+    their bytes."""
     return "".join(_trajectory_blocks(result))
 
 
 def _trajectory_blocks(result: RunResult):
-    # trajectory_csv's text: the header, then one block of up to _TRAJECTORY_BLOCK rows,
-    # each (k, *point, f, grad_norm, alpha) packed as float64s; "%d" writes a float k exactly.
-    dim = len(result.final_point)
-    width = dim + 4
-    if isinstance(result.trajectory, _Trajectory):
-        rows, packed = result.trajectory.rows, result.trajectory.width - 4
-        if packed != dim:
-            raise InvalidInputError(f"trajectory has {packed} coordinates, not {dim}")
-    else:
-        rows = array("d")
-        for rec in result.trajectory:
-            point = rec.point.tolist()
-            if len(point) != dim:
-                raise InvalidInputError(f"record {rec.k} has {len(point)} coordinates, not {dim}")
-            rows.extend((rec.k, *point, rec.value, rec.grad_norm, rec.alpha_used))
+    # trajectory_csv's text: the header, then one block of up to _TRAJECTORY_BLOCK records,
+    # each unpacked from its bytes as (k, *point, f, grad_norm, alpha).
+    dim, records = len(result.final_point), result.trajectory
+    # A record of trajectory_dtype(n) is 8 * (n + 4) bytes.
+    n = records.dtype.itemsize // 8 - 4 if isinstance(records, np.ndarray) else 0
+    if n < 1 or records.ndim != 1 or records.dtype != trajectory_dtype(n):
+        raise InvalidInputError("trajectory must be a 1-d array of (k, point, value, grad_norm, "
+                                f"alpha_used) records, got {reprlib.repr(records)}")
+    if n != dim:
+        raise InvalidInputError(f"trajectory has {n} coordinates, not {dim}")
     yield "k," + ",".join(f"x{i + 1}" for i in range(dim)) + ",f,grad_norm,alpha\n"
-    row, step = "%d," + "%.17g," * dim + "%.17g,%.17g,%.17g\n", _TRAJECTORY_BLOCK * width
-    for start in range(0, len(rows), step):
-        block = tuple(rows[start:start + step])
-        yield row * (len(block) // width) % block
+    row, fields = "%d," + "%.17g," * dim + "%.17g,%.17g,%.17g\n", f"q{dim + 3}d"
+    for start in range(0, len(records), _TRAJECTORY_BLOCK):
+        block = records[start:start + _TRAJECTORY_BLOCK]
+        yield row * len(block) % unpack("=" + fields * len(block), block.tobytes())
 
 
 def grid_csv(grid: ContourGrid) -> str:

@@ -18,11 +18,9 @@ from __future__ import annotations
 
 import math
 import sys
-from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from struct import Struct
+from struct import Struct, unpack_from
 
 import numpy as np
 
@@ -63,35 +61,31 @@ class TerminationPolicy:
         object.__setattr__(self, "blowup_norm", blowup)
 
 
-@dataclass(frozen=True, eq=False)
-class IterateRecord:
-    """One trajectory entry.
+def trajectory_dtype(dim: int) -> np.dtype:
+    """A trajectory record of a run in `dim` dimensions: 8 * (dim + 4) bytes, packed as the run
+    packs its rows.
 
-    ``alpha_used`` is the step applied in the transition from iterate k-1
-    to this one; it is 0.0 for the starting point and for every
-    Newton-Raphson record (that method has no step-size concept).
+    ``alpha_used`` is the step applied in the transition from iterate k-1 to
+    this one; it is 0.0 for the starting point and for every Newton-Raphson
+    record (that method has no step-size concept).
     """
-
-    k: int
-    point: Vector
-    value: float
-    grad_norm: float
-    alpha_used: float
+    return np.dtype([("k", "i8"), ("point", "f8", (dim,)), ("value", "f8"), ("grad_norm", "f8"),
+                     ("alpha_used", "f8")])
 
 
 @dataclass(eq=False)
 class RunResult:
     """Outcome of one optimizer run with its recorded trajectory.
 
-    A run's `trajectory` builds its IterateRecords from packed rows when it is first read."""
+    `trajectory` is a read-only record array of trajectory_dtype(dim) over the run's packed
+    rows, one record per recorded iterate."""
 
     status: RunStatus
     iterations: int
     final_point: Vector
     final_value: float
     final_grad_norm: float
-    # A repr would build every record; repr(result.trajectory) still shows them.
-    trajectory: Sequence[IterateRecord] = field(default_factory=list, repr=False)
+    trajectory: np.recarray = field(repr=False)
 
 
 def fletcher_reeves_beta(g_next, g, gg_next: float, gg: float) -> float:
@@ -107,38 +101,16 @@ def fletcher_reeves_beta(g_next, g, gg_next: float, gg: float) -> float:
     return gg_next / gg
 
 
-class _Trajectory(Sequence):
-    """A run's rows as IterateRecords, each with a float64 ndarray point, built all at once
-    when first indexed or iterated.
-
-    `rows` packs `width` float64s per iterate, (k, *point, value, grad_norm, alpha_used); k
-    is exact as a float64 up to 2**53.  The records are built from slices, which copy: a
-    buffer exported from `rows` would keep a run from growing it (BufferError)."""
-
-    def __init__(self, rows: array, width: int):
-        self.rows, self.width, self._records = rows, width, None
-
-    def __len__(self) -> int:
-        return len(self.rows) // self.width  # builds no record
-
-    def __getitem__(self, i):
-        if self._records is None:
-            rows, w = self.rows, self.width
-            self._records = [IterateRecord(int(rows[s]), np.array(rows[s + 1:s + w - 3]),
-                                           *rows[s + w - 3:s + w])
-                             for s in range(0, len(rows), w)]
-        return self._records[i]
-
-    def __repr__(self) -> str:
-        return repr(self[:])
-
-
 def _finish(rows, status, k, point, f, gn, alpha) -> RunResult:
-    """Add the final row (unless it already is the last one) and close the run."""
-    width = len(point) + 4
-    if not rows or rows[-width] != k:
-        rows.extend((k, *point, f, gn, alpha))
-    return RunResult(status, k, np.array(point), f, gn, _Trajectory(rows, width))
+    """Add the final row (unless it already is the last one) and close the run.
+
+    The trajectory is a view of `rows` through a read-only memoryview, so no flag makes it
+    writeable again, and `rows` can no longer grow (BufferError)."""
+    dtype = trajectory_dtype(len(point))
+    if not rows or unpack_from("=q", rows, len(rows) - dtype.itemsize)[0] != k:
+        rows += Struct(f"=q{len(point) + 3}d").pack(k, *point, f, gn, alpha)
+    trajectory = np.frombuffer(memoryview(rows).toreadonly(), dtype).view(np.recarray)
+    return RunResult(status, k, np.array(point), f, gn, trajectory)
 
 
 def _judge(k, xn, f, gn, policy) -> RunStatus | None:
@@ -209,8 +181,7 @@ def _pair_loop(objective, x, policy, record, select, rng, fixed_alpha, period) -
     low, neg_eps, neg_inf = -edge, -eps, -inf
     cap, conjugate = policy.max_iterations, period != 1
     x1, x2 = x.tolist()
-    # A row is packed in one call: array.extend of a tuple costs about four times as much.
-    rows, pack = array("d"), Struct("6d").pack
+    rows, pack = bytearray(), Struct("=q5d").pack
     alpha = 0.0  # the step that produced (x1, x2)
     g_prev = gg_prev = d1 = d2 = None
     k = 0
@@ -225,7 +196,7 @@ def _pair_loop(objective, x, policy, record, select, rng, fixed_alpha, period) -
             return _finish(rows, RunStatus.DIVERGED_NONFINITE, k, (x1, x2), math.nan, math.nan,
                            alpha)
         if record or not k:
-            rows.frombytes(pack(k, x1, x2, f, hypot(g1, g2), alpha))
+            rows += pack(k, x1, x2, f, hypot(g1, g2), alpha)
         if (not (inside and 0 < k < cap and neg_inf < f < inf)
                 or neg_eps <= g1 <= eps and neg_eps <= g2 <= eps):
             gn = hypot(g1, g2)
@@ -265,7 +236,7 @@ def _array_loop(objective, x, policy, record, select, rng, period) -> RunResult:
     """_descent_loop on ndarrays: value and gradient, then hessian or a _LineRestriction, on
     which the rule selects every step (a fixed one probes nothing)."""
     newton, conjugate = select is None, period != 1
-    rows, pack = array("d"), Struct(f"{x.size + 4}d").pack
+    rows, pack = bytearray(), Struct(f"=q{x.size + 3}d").pack
     alpha = 0.0  # the step that produced x
     g_prev = gg_prev = d = None
     k = 0
@@ -281,7 +252,7 @@ def _array_loop(objective, x, policy, record, select, rng, period) -> RunResult:
             return _finish(rows, RunStatus.DIVERGED_NONFINITE, k, x.tolist(), math.nan, math.nan,
                            alpha)
         if record or not k:
-            rows.frombytes(pack(k, *x.tolist(), f, gn, alpha))
+            rows += pack(k, *x.tolist(), f, gn, alpha)
         if status := _judge(k, xn, f, gn, policy):
             return _finish(rows, status, k, x.tolist(), f, gn, alpha)
         if newton:

@@ -19,7 +19,6 @@ from rosenbench import (
     Fixed,
     IncomparableVariantsError,
     InvalidInputError,
-    IterateRecord,
     QuadraticObjective,
     ResultRow,
     RosenbrockObjective,
@@ -36,8 +35,8 @@ from rosenbench import (
     steepest_descent,
     trajectory_csv,
 )
-from rosenbench import optimize
 from rosenbench.bench import RESULTS_HEADER, rule_label, run_cell, run_method, status_label
+from rosenbench.optimize import trajectory_dtype
 
 
 def synthetic_row(variant_rule, iterations, status="converged", kappa=1.0, start=(2.0, 2.0)):
@@ -379,10 +378,11 @@ BYTES_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, data
 
 
 def records(dim, n, floats):
-    """n records of dimension dim whose fields cycle through `floats`."""
+    """A record array of n records of dimension dim whose fields cycle through `floats`."""
     cycle = lambda i: floats[i % len(floats)]
-    return [IterateRecord(k, np.array([cycle(k + j) for j in range(dim)]), cycle(k + dim),
-                          cycle(k + dim + 1), cycle(k + dim + 2)) for k in range(n)]
+    return np.rec.fromrecords([(k, [cycle(k + j) for j in range(dim)], cycle(k + dim),
+                                cycle(k + dim + 1), cycle(k + dim + 2)) for k in range(n)],
+                              dtype=trajectory_dtype(dim))
 
 
 def run_result(trajectory, dim):
@@ -427,8 +427,21 @@ class TestCsvBytes:
     ], ids=["valley-sd", "valley-newton", "quadratic-7d-cg"])
     def test_recorded_runs(self, run):
         result = run()
-        assert result.trajectory
+        assert len(result.trajectory) > 1
         assert trajectory_csv(result) == reference_trajectory_csv(result)
+
+    @pytest.mark.parametrize("how", ["copy", "every-7th"])
+    def test_copied_or_strided_trajectory(self, how):
+        # A copy owns its bytes and a strided view skips records; each writes the records it
+        # holds, across the edges of the 1,024-record blocks.
+        result = TestRecordsBuiltWhenRead.CASES["valley-sd"][0]()
+        held = result.trajectory.copy() if how == "copy" else result.trajectory[::7]
+        assert len(held) >= 1025
+        rewrapped = RunResult(result.status, result.iterations, result.final_point,
+                              result.final_value, result.final_grad_norm, held)
+        text = trajectory_csv(rewrapped)
+        assert text == reference_trajectory_csv(rewrapped)
+        assert text.count("\n") == len(held) + 1
 
     @pytest.mark.parametrize("shape", [(3, 2), (1, 3), (2, 2), (2, 4), (6,), (2, 3, 1)])
     def test_ragged_grid_refused(self, shape):
@@ -437,12 +450,23 @@ class TestCsvBytes:
         with pytest.raises(InvalidInputError, match="grid values must be 2x3"):
             grid_csv(ContourGrid(1.0, np.zeros(2), np.zeros(3), np.zeros(shape)))
 
-    @pytest.mark.parametrize("at", [0, 1, 1023, 1024, 1500])
-    @pytest.mark.parametrize("dim", [1, 3])
-    def test_ragged_record_refused(self, at, dim):
-        trajectory = records(2, 1501, [0.5, 1.5])
-        trajectory[at] = IterateRecord(at, np.zeros(dim), 0.0, 0.0, 0.0)
-        with pytest.raises(InvalidInputError, match=f"record {at} has {dim} coordinates, not 2"):
+    # A record array cannot be ragged; what is not one of trajectory_dtype(2) is refused.
+    NOT_RECORDS = {
+        "empty-list": lambda: [],
+        "list": lambda: list(records(2, 1501, [0.5, 1.5])),
+        "tuples": lambda: records(2, 1501, [0.5, 1.5]).tolist(),
+        "float-rows": lambda: np.zeros((1501, 6)),
+        "float-k": lambda: records(2, 1501, [0.5, 1.5]).astype(
+            [("k", "f8")] + trajectory_dtype(2).descr[1:]),
+        "byte-swapped": lambda: records(2, 1501, [0.5, 1.5]).astype(
+            trajectory_dtype(2).newbyteorder()),
+        "2-d": lambda: records(2, 1500, [0.5, 1.5]).reshape(2, 750),
+    }
+
+    @pytest.mark.parametrize("case", NOT_RECORDS)
+    def test_trajectory_not_of_records_refused(self, case):
+        trajectory = self.NOT_RECORDS[case]()
+        with pytest.raises(InvalidInputError, match="trajectory must be a 1-d array of "):
             trajectory_csv(run_result(trajectory, 2))
 
     @pytest.mark.parametrize("dim", [1, 3, 5])
@@ -461,7 +485,7 @@ def records_digest(result):
     h = hashlib.sha256()
     for r in result.trajectory:
         fields = np.array((r.value, r.grad_norm, r.alpha_used), dtype=np.float64).tobytes()
-        h.update(repr((r.k, r.point.dtype.str, r.point.tobytes(), fields)).encode())
+        h.update(repr((int(r.k), r.point.dtype.str, r.point.tobytes(), fields)).encode())
     return h.hexdigest()[:16]
 
 
@@ -470,7 +494,8 @@ NO_BLOWUP = TerminationPolicy(blowup_norm=math.inf)
 
 
 class TestRecordsBuiltWhenRead:
-    """A run records flat rows, trajectory_csv writes them, and records are built on reading.
+    """A run packs its rows, its trajectory is a record array over them, trajectory_csv writes
+    their bytes, and a record is built only when it is read.
 
     Each digest is that of the records which runs built, one per iterate, before rows."""
 
@@ -503,44 +528,53 @@ class TestRecordsBuiltWhenRead:
     }
 
     @pytest.mark.parametrize("case", CASES)
-    def test_writer_builds_no_records(self, case, monkeypatch):
+    def test_trajectory_is_a_read_only_view_of_the_rows(self, case):
         run, status, iterations, digest = self.CASES[case]
-
-        def refuse(*args):
-            raise AssertionError("an IterateRecord was built")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(optimize, "IterateRecord", refuse)
-            result = run()
-            text = trajectory_csv(result)
-            assert len(result.trajectory) == iterations + 1
-        built = []
-        with monkeypatch.context() as patch:
-            patch.setattr(optimize, "IterateRecord",
-                          lambda *fields: built.append(fields) or IterateRecord(*fields))
-            assert result.trajectory[0] is result.trajectory[0]
-            assert list(result.trajectory)[1:] == result.trajectory[1:]
-        assert len(built) == iterations + 1
+        result = run()
+        trajectory = result.trajectory
         assert (result.status.value, result.iterations) == (status, iterations)
+        assert len(trajectory) == iterations + 1
+        assert type(trajectory) is np.recarray
+        # The records share the bytes the run packed: no copy was made.
+        buffer = trajectory
+        while not isinstance(buffer, bytearray):
+            buffer = buffer.obj if isinstance(buffer, memoryview) else buffer.base
+        assert len(buffer) == trajectory.nbytes
+        assert np.shares_memory(trajectory, np.frombuffer(buffer, np.uint8))
+        first = trajectory[0].tobytes()
+        for write in (lambda: setattr(trajectory[-1], "k", 0),
+                      lambda: trajectory.point.__setitem__((0, 0), 1.0),
+                      lambda: trajectory.__setitem__(0, trajectory[-1]),
+                      lambda: setattr(trajectory.flags, "writeable", True)):
+            with pytest.raises(ValueError):
+                write()
+        assert trajectory[0].tobytes() == first
         assert records_digest(result) == digest
-        assert text == reference_trajectory_csv(result)
+        assert trajectory_csv(result) == reference_trajectory_csv(result)
 
     @pytest.mark.parametrize("case", ["valley-sd", "quadratic-7d-sd"])
-    def test_repr_builds_no_records(self, case, monkeypatch):
-        # A run's repr names how it ended; only repr(result.trajectory) builds the records.
+    def test_repr_builds_no_records(self, case):
+        # A run's repr names how it ended, and not its trajectory.
         run, status, iterations, _ = self.CASES[case]
         result = run()
-
-        def refuse(*args):
-            raise AssertionError("an IterateRecord was built")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(optimize, "IterateRecord", refuse)
-            text = repr(result)
+        text = repr(result)
         named = f"status=<RunStatus.{result.status.name}: '{status}'>, iterations={iterations},"
         assert named in text
         assert "trajectory" not in text
-        assert repr(result.trajectory).startswith("[IterateRecord(k=0, ")
+
+    def test_reading_the_last_record_builds_no_other(self):
+        # The last record of 21,704 is read without building the records before it.
+        result = self.CASES["valley-sd"][0]()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            point = result.trajectory[-1].point
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(result.trajectory) == 21_704 and point.tolist() == result.final_point.tolist()
+        assert peak < 1024
 
 
 class Float64Bowl:
@@ -554,7 +588,7 @@ class Float64Bowl:
 
 
 class TestPackedRows:
-    """A run packs each recorded iterate into dim + 4 float64s; records are built from them."""
+    """A run packs each recorded iterate into 8 * (dim + 4) bytes, which its records read."""
 
     @pytest.mark.parametrize("run, dim, bound", [
         (TestRecordsBuiltWhenRead.CASES["valley-sd"][0], 2, 64),
@@ -562,7 +596,7 @@ class TestPackedRows:
                                   TerminationPolicy(max_iterations=20_000)), 7, 8 * 11 * 1.3),
     ], ids=["valley-sd", "quadratic-7d-sd"])
     def test_recorded_run_holds_about_its_packed_rows(self, run, dim, bound):
-        # The bounds are 8 * (dim + 4) bytes per row with room for the array's growth; a
+        # The bounds are 8 * (dim + 4) bytes per row with room for the buffer's growth; a
         # tuple of Python floats per row took about 225 bytes on the valley.
         run()
         tracemalloc.start()
@@ -584,12 +618,6 @@ class TestPackedRows:
 
     @pytest.mark.parametrize("case", RUNS)
     def test_record_field_types(self, case):
+        # Even where an objective's value is a np.float64, the records hold the same dtype.
         result = self.RUNS[case]()
-        records = list(result.trajectory)
-        for r in records:
-            assert type(r.k) is int
-            assert type(r.point) is np.ndarray and r.point.dtype == np.float64
-            assert {type(r.value), type(r.grad_norm), type(r.alpha_used)} == {float}
-        as_list = RunResult(result.status, result.iterations, result.final_point,
-                            result.final_value, result.final_grad_norm, records)
-        assert trajectory_csv(as_list) == trajectory_csv(result)
+        assert result.trajectory.dtype == trajectory_dtype(len(result.final_point))
