@@ -1,9 +1,9 @@
 """Benchmark harness: the full experiment grid, contour data, CSV output.
 
-:class:`ExperimentMatrix` sweeps every optimizer cell of the convergence
-study -- steepest descent under the four step rules, the Fletcher-Reeves
-method under the fixed steps, and Newton-Raphson -- over kappa in {1, 100}
-and starting points (2,2) and (5,5), stopping at a gradient norm of 1e-3.
+:func:`run_matrix` sweeps every optimizer cell of the convergence study --
+steepest descent under the four step rules, the Fletcher-Reeves method
+under the fixed steps, and Newton-Raphson -- over kappa in {1, 100} and
+starting points (2,2) and (5,5), stopping at a gradient norm of 1e-3.
 Rows come back in a fixed order and rerunning the matrix reproduces them
 bit-for-bit except for wall-clock timings.
 """
@@ -40,6 +40,8 @@ from .optimize import (
 )
 
 DEFAULT_FIXED_ALPHAS = (0.124, 0.0124, 0.00124, 0.000124)
+KAPPAS = (1.0, 100.0)
+STARTS = ((2.0, 2.0), (5.0, 5.0))
 
 
 def status_label(result: RunResult) -> str:
@@ -54,7 +56,8 @@ def rule_label(rule: StepRule | None) -> str:
     return "none" if rule is None else rule.label()
 
 
-# The study's cells, built once; a fixed step's SD and CG cells share its one rule.
+# The study's cells, built once, in run order: SD fixed sweep, SD adaptive rules, Newton,
+# CG fixed sweep.  A fixed step's SD and CG cells share its one rule.
 _FIXED = [Fixed(a) for a in DEFAULT_FIXED_ALPHAS]
 _CELLS = (*[("sd", r) for r in _FIXED], ("sd", VariableCandidates()), ("sd", QuadraticFit()),
           ("sd", GoldenSection()), ("newton", None), *[("cg", r) for r in _FIXED])
@@ -62,19 +65,12 @@ _CELLS = (*[("sd", r) for r in _FIXED], ("sd", VariableCandidates()), ("sd", Qua
 
 @dataclass(frozen=True)
 class ExperimentMatrix:
-    """The study's cells over its kappas and starting points, run under `policy`."""
+    """The termination `policy` under which `run_matrix` runs the study."""
 
-    kappas = (1.0, 100.0)
-    starts = ((2.0, 2.0), (5.0, 5.0))
-    fixed_alphas = DEFAULT_FIXED_ALPHAS
     policy: TerminationPolicy = TerminationPolicy()
 
     def __post_init__(self):
         _check_policy(self.policy)  # else it would get past construction and fail in a cell
-
-    def cells(self) -> list[tuple[str, StepRule | None]]:
-        """Deterministic cell order: SD fixed sweep, SD adaptive rules, Newton, CG fixed sweep."""
-        return list(_CELLS)
 
 
 @dataclass(frozen=True)
@@ -120,39 +116,31 @@ def run_method(
     raise InvalidInputError(f"unknown method: {method!r}")
 
 
-def run_cell(
-    method: str,
-    rule: StepRule | None,
-    kappa: float,
-    x0: tuple[float, float],
-    policy: TerminationPolicy,
-) -> ResultRow:
-    """Execute one (method, rule, kappa, start) combination."""
-    objective = RosenbrockObjective(kappa)
-    t0 = time.perf_counter()
-    result = run_method(method, objective, x0, rule, policy, record_trajectory=False)
-    ms = (time.perf_counter() - t0) * 1e3
-    return ResultRow(
-        method=method,
-        step_rule=rule_label(rule),
-        kappa=float(kappa),
-        x0=(float(x0[0]), float(x0[1])),
-        status=status_label(result),
-        iterations=result.iterations,
-        final_f=result.final_value,
-        final_grad_norm=result.final_grad_norm,
-        wall_ms=ms,
-        final_point=tuple(float(c) for c in result.final_point),
-    )
-
-
 def run_matrix(matrix: ExperimentMatrix = ExperimentMatrix()) -> list[ResultRow]:
-    """Run every combination; no cell is ever skipped (failures land in `status`)."""
+    """Run each cell at each of KAPPAS and STARTS; no cell is ever skipped (failures land in
+    `status`), and only the run itself is timed."""
     rows = []
-    for method, rule in matrix.cells():
-        for kappa in matrix.kappas:
-            for start in matrix.starts:
-                rows.append(run_cell(method, rule, kappa, start, matrix.policy))
+    for method, rule in _CELLS:
+        for kappa in KAPPAS:
+            for start in STARTS:
+                # The module's name is read per cell, so a caller may swap in another class.
+                objective = RosenbrockObjective(kappa)
+                t0 = time.perf_counter()
+                result = run_method(method, objective, start, rule, matrix.policy,
+                                    record_trajectory=False)
+                ms = (time.perf_counter() - t0) * 1e3
+                rows.append(ResultRow(
+                    method=method,
+                    step_rule=rule_label(rule),
+                    kappa=kappa,
+                    x0=start,
+                    status=result.status.value,
+                    iterations=result.iterations,
+                    final_f=result.final_value,
+                    final_grad_norm=result.final_grad_norm,
+                    wall_ms=ms,
+                    final_point=tuple(float(c) for c in result.final_point),
+                ))
     return rows
 
 

@@ -279,10 +279,10 @@ class ExactQuadratic:
         The step may be negative along a direction that climbs.  An overflow
         of d'Qd or of g'd leaves no usable step and raises LineSearchFailedError.
         """
-        objective = getattr(line, "objective", None)  # the valley's phi has none
-        if not isinstance(objective, QuadraticObjective):
+        if not (isinstance(line, _LineRestriction)
+                and isinstance(line.objective, QuadraticObjective)):
             raise InvalidInputError("exact line minimization requires a QuadraticObjective")
-        d = line.d
+        objective, d = line.objective, line.d
         # An overflow gives an inf or a nan quietly, as it does inside a run.
         with np.errstate(over="ignore", invalid="ignore"):
             curvature = float(d @ objective.Q @ d)

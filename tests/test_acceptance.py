@@ -13,7 +13,6 @@ import math
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from rosenbench import (
     ExactQuadratic,
@@ -47,11 +46,6 @@ GOLDENS = Path(__file__).resolve().parent.parent / "rosenperf" / "goldens"
 EPSILON = 1e-3
 STARTS = ((2.0, 2.0), (5.0, 5.0))
 KAPPAS = (1.0, 100.0)
-
-
-@pytest.fixture(scope="module")
-def rows():
-    return run_matrix(ExperimentMatrix())
 
 
 def report(criterion: str, ok: bool, detail: str = ""):

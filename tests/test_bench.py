@@ -35,7 +35,8 @@ from rosenbench import (
     steepest_descent,
     trajectory_csv,
 )
-from rosenbench.bench import RESULTS_HEADER, rule_label, run_cell, run_method, status_label
+from rosenbench import bench
+from rosenbench.bench import RESULTS_HEADER, rule_label, run_method, status_label
 from rosenbench.optimize import trajectory_dtype
 
 
@@ -54,27 +55,20 @@ def synthetic_row(variant_rule, iterations, status="converged", kappa=1.0, start
     )
 
 
-@pytest.fixture(scope="module")
-def study_rows():
-    return run_matrix()
-
-
 class TestRunMatrix:
-    def test_row_count_and_order(self, study_rows):
-        study = ExperimentMatrix()
-        cells = study.cells()
-        assert len(study_rows) == len(cells) * len(study.kappas) * len(study.starts)
-        labels = [(r.method, r.step_rule, r.kappa, r.x0) for r in study_rows]
+    def test_row_count_and_order(self, rows):
+        assert len(rows) == len(bench._CELLS) * len(bench.KAPPAS) * len(bench.STARTS)
+        labels = [(r.method, r.step_rule, r.kappa, r.x0) for r in rows]
         expected = [
             (m, rule_label(rule), k, s)
-            for (m, rule) in cells
-            for k in study.kappas
-            for s in study.starts
+            for (m, rule) in bench._CELLS
+            for k in bench.KAPPAS
+            for s in bench.STARTS
         ]
         assert labels == expected
 
     def test_default_matrix_shape(self):
-        cells = ExperimentMatrix().cells()
+        cells = bench._CELLS
         # 4 SD fixed + 3 SD adaptive + newton + 4 CG fixed = 12 cells.
         assert len(cells) == 12
         methods = [m for m, _ in cells]
@@ -84,13 +78,14 @@ class TestRunMatrix:
         assert len({id(rule) for _, rule in cells if rule is not None}) == 7
 
     def test_default_matrix_matches_study_setup(self):
-        m = ExperimentMatrix()
-        assert m.kappas == (1.0, 100.0)
-        assert m.starts == ((2.0, 2.0), (5.0, 5.0))
-        assert m.fixed_alphas == (0.124, 0.0124, 0.00124, 0.000124)
-        assert m.policy.epsilon == 1e-3
+        assert bench.KAPPAS == (1.0, 100.0)
+        assert bench.STARTS == ((2.0, 2.0), (5.0, 5.0))
+        assert bench.DEFAULT_FIXED_ALPHAS == (0.124, 0.0124, 0.00124, 0.000124)
+        assert ExperimentMatrix().policy.epsilon == 1e-3
         # The grid is the study's; a caller sets the policy alone.
         assert [f.name for f in dataclasses.fields(ExperimentMatrix)] == ["policy"]
+        assert not any(hasattr(ExperimentMatrix, name)
+                       for name in ("cells", "kappas", "starts", "fixed_alphas"))
 
     @pytest.mark.parametrize("field, value", [
         ("kappas", (1.0,)),
@@ -102,43 +97,51 @@ class TestRunMatrix:
         with pytest.raises(TypeError):
             ExperimentMatrix(**{field: value})
 
-    def test_cells_are_built_once(self):
-        cells = ExperimentMatrix().cells()
-        other = ExperimentMatrix(policy=TerminationPolicy(max_iterations=5)).cells()
-        assert all(a is b for a, b in zip(cells, other, strict=True))
-        cells.clear()  # a caller's list, not the study's
-        assert ExperimentMatrix().cells() == other
-
     def test_policy_reaches_every_row(self):
         rows = run_matrix(ExperimentMatrix(policy=TerminationPolicy(max_iterations=3)))
         assert len(rows) == 48
         assert all(r.iterations <= 3 for r in rows)
         assert {r.status for r in rows} >= {"max_iter"}
 
-    def test_rows_reproducible_modulo_wall_clock(self, study_rows):
-        a = results_csv(study_rows)
-        b = results_csv(run_matrix())
-        strip = lambda text: [line.rsplit(",", 1)[0] for line in text.splitlines()]
-        assert strip(a) == strip(b)
-
-    def test_converged_rows_verify_independently(self, study_rows):
+    def test_converged_rows_verify_independently(self, rows):
         policy = TerminationPolicy()
-        for row in study_rows:
+        for row in rows:
             if row.status == "converged":
                 g = RosenbrockObjective(row.kappa).gradient(row.final_point)
                 assert math.hypot(*g) <= policy.epsilon
 
-    def test_known_outcomes(self, study_rows):
-        rows = {(r.method, r.step_rule): r for r in study_rows
-                if r.kappa == 1.0 and r.x0 == (2.0, 2.0)}
-        assert rows[("sd", "fixed:0.0124")].status == "converged"
-        assert rows[("newton", "none")].status == "converged"
-        assert rows[("newton", "none")].iterations <= 50
+    def test_known_outcomes(self, rows):
+        cells = {(r.method, r.step_rule): r for r in rows
+                 if r.kappa == 1.0 and r.x0 == (2.0, 2.0)}
+        assert cells[("sd", "fixed:0.0124")].status == "converged"
+        assert cells[("newton", "none")].status == "converged"
+        assert cells[("newton", "none")].iterations <= 50
 
     def test_single_cell_start_at_minimum(self):
-        row = run_cell("newton", None, 1.0, (1.0, 1.0), TerminationPolicy())
-        assert row.status == "converged"
-        assert row.iterations == 0
+        result = run_method("newton", RosenbrockObjective(1.0), (1.0, 1.0), None,
+                            TerminationPolicy())
+        assert result.status.value == "converged"
+        assert result.iterations == 0
+
+    def test_cells_build_objectives_through_the_module_global(self, monkeypatch):
+        # A caller that swaps bench.RosenbrockObjective, as the benchmark's tracer does,
+        # builds every cell's objective.  Fifty iterations give converged, max_iter and
+        # diverged rows in milliseconds, where the full study takes half a second.
+        built = []
+
+        class Counting(RosenbrockObjective):
+            def __init__(self, kappa):
+                super().__init__(kappa)
+                built.append(self)
+
+        matrix = ExperimentMatrix(TerminationPolicy(max_iterations=50))
+        plain = run_matrix(matrix)
+        monkeypatch.setattr(bench, "RosenbrockObjective", Counting)
+        counted = run_matrix(matrix)
+        assert [o.kappa for o in built] == [r.kappa for r in counted]
+        assert len(built) == 48
+        strip = lambda rows: [line.rsplit(",", 1)[0] for line in results_csv(rows).splitlines()]
+        assert strip(counted) == strip(plain)
 
 
 class TestRunMethod:

@@ -506,9 +506,13 @@ class TestExactQuadratic:
             assert abs(float(g_land @ d)) <= 1e-10 * max(1.0, float(d @ d))
 
     def test_requires_quadratic_objective(self):
-        line = restrict(RosenbrockObjective(1.0), (2.0, 2.0), (-1.0, 0.0))
-        with pytest.raises(InvalidInputError):
-            ExactQuadratic().select(line)
+        def phi(a):  # carries a quadratic objective, but no point or direction
+            return 0.0
+
+        phi.objective = QuadraticObjective(np.eye(2), [0.0, 0.0])
+        for line in (restrict(RosenbrockObjective(1.0), (2.0, 2.0), (-1.0, 0.0)), phi):
+            with pytest.raises(InvalidInputError, match="requires a QuadraticObjective"):
+                ExactQuadratic().select(line)
 
     @pytest.mark.parametrize("x, d", [((1.0, 1.0), (1e200, 1e200)),
                                       ((1e300, 1e300), (1e200, -1e308))])

@@ -286,9 +286,12 @@ REFUSALS = {
         bad_counts(1, none_ok=True)),
     "finite_diff_gradient.h": (lambda v: finite_diff_gradient(valley, (2.0, 2.0), v),
                                bad_reals(not_positive)),
-    # Below about 1.57e-162, h*h, the divisor, is zero.
+    # At (2, 2) a positive h up to 1.5e-162 is lost in rounding; at the origin every
+    # positive h moves the point, and below about 1.57e-162 h*h, the divisor, is zero.
     "finite_diff_hessian.h": (lambda v: finite_diff_hessian(valley, (2.0, 2.0), v),
                               bad_reals(st.floats(max_value=1.5e-162))),
+    "finite_diff_hessian.h(origin)": (lambda v: finite_diff_hessian(valley, (0.0, 0.0), v),
+                                      st.floats(min_value=5e-324, max_value=1.5e-162)),
     # Rows are never looked at: the arguments are judged first.
     "compare_sd_variants.kappa": (lambda v: compare_sd_variants([], v, (2.0, 2.0)),
                                   bad_reals(not_positive)),
