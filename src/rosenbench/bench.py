@@ -10,11 +10,11 @@ bit-for-bit except for wall-clock timings.
 
 from __future__ import annotations
 
+import functools
 import math
 import reprlib
 import time
 from dataclasses import dataclass
-from struct import unpack
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .optimize import (
 DEFAULT_FIXED_ALPHAS = (0.124, 0.0124, 0.00124, 0.000124)
 KAPPAS = (1.0, 100.0)
 STARTS = ((2.0, 2.0), (5.0, 5.0))
+_BLOCK = 4096  # grid values or CSV reals per numpy call, so each call's arrays stay small
 
 
 def status_label(result: RunResult) -> str:
@@ -211,26 +212,156 @@ def contour_grid(
     kappa = check_real("kappa", kappa)
     xs = np.linspace(x_lo, x_hi, resolution)
     ys = np.linspace(y_lo, y_hi, resolution)
-    # values[i, j] = f(xs[i], ys[j]); an overflow is inf, as the scalar evaluation gives.
+    # values[i, j] = f(xs[i], ys[j]), a block of x-rows per call; an overflow is inf, as the
+    # scalar evaluation gives.
+    values = np.empty((resolution, resolution))
+    rows = max(1, _BLOCK // resolution)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = valley_value(kappa, xs[:, None], ys)
+        for i in range(0, resolution, rows):
+            values[i:i + rows] = valley_value(kappa, xs[i:i + rows, None], ys)
     return ContourGrid(kappa=kappa, xs=xs, ys=ys, values=values)
 
 
 RESULTS_HEADER = "method,step_rule,kappa,x0_1,x0_2,status,iterations,final_f,final_grad_norm,wall_ms"
 
-# Every CSV real is "%.17g", which formats as fmt_real does; a writer builds its row
-# template once and fills a whole block of rows with one `%`.
-_RESULTS_ROW = "%s,%s,%.17g,%.17g,%.17g,%s,%d,%.17g,%.17g,%.17g\n"
-_TRAJECTORY_BLOCK = 1024  # rows per `%`, so no argument tuple spans a long run
+# Every CSV real is "%.17g", as fmt_real formats it, but the writers format _BLOCK reals at a
+# time in numpy (_fields17) and fill a block of rows with one `%` or one translate.
+_RESULTS_ROW = "%s,%s,%s,%s,%s,%s,%d,%s,%s,%s\n"
+
+# A real's field in _fields17 is _W bytes, and the text keeps those that are not NUL:
+#   0       the sign "-"
+#   1-5     "0.000": the "0." and up to three zeros of a positional value below 1
+#   6 + 2j  digit j of the 17 (j = 0..16)
+#   7 + 2j  the decimal point, where it follows digit j
+#   39-42   the exponent "e-dd"
+#   _SEP    "\n", or the separator that a writer puts there
+_W, _SEP = 48, 43
+
+
+@functools.cache
+def _fmt17_tables():
+    """_fields17's tables, built on first use.
+
+    10**q for q = 0..56 as a double-double (hi, lo), with hi split into 26-bit halves; one
+    uint64 word per 4-digit group, each digit followed by 0xFF (entry 10000 + d is a lead
+    digit d after six 0xFF bytes, entry 10010 all 0xFF); per group the place of its last digit
+    that is not a trailing zero; and one field per (E, k digits shown, sign) that holds its
+    fixed bytes, 0xFF where a digit shows and NUL where none does.
+    """
+    hi = np.array([float(10**q) for q in range(57)])
+    lo = np.array([float(10**q - int(float(10**q))) for q in range(57)])
+    c = hi * 134217729.0
+    hh = c - (c - hi)
+    d = np.indices((10,) * 4, np.uint8).reshape(4, 10000)  # the digits of 0..9999
+    words = np.full((10011, 8), 0xFF, np.uint8)
+    words[:10000, ::2] = d.T + ord("0")
+    words[10000:10010, 6] = np.arange(ord("0"), ord("9") + 1)
+    last = np.where(d.any(0), ((d != 0) * np.arange(1, 5, dtype=np.int8)[:, None]).max(0), -20)
+    E, k, neg = np.ogrid[-40:16, 1:18, 0:2]
+    below_1 = (E < 0) & (E >= -4)
+    fields = np.zeros((56, 17, 2, _W), np.uint8)
+    fields[..., 0] = np.where(neg, ord("-"), 0)
+    for i, byte in enumerate(b"0.000"):  # "0." and -E - 1 zeros
+        fields[..., 1 + i] = np.where(below_1 & (i < 1 - E), byte, 0)
+    for j in range(17):
+        fields[..., 6 + 2 * j] = np.where((j < k) | (j <= E), 0xFF, 0)
+    for j in range(16):
+        point = np.where(E < -4, j == 0, j == E) & (j + 1 < k)
+        fields[..., 7 + 2 * j] = np.where(point, ord("."), 0)
+    for i, byte in enumerate((ord("e"), ord("-"), ord("0") + -E // 10, ord("0") + -E % 10)):
+        fields[..., 39 + i] = np.where(E < -4, byte, 0)
+    fields[..., _SEP] = ord("\n")
+    return hi, lo, hh, hi - hh, words.view(np.uint64).ravel(), last, fields.reshape(-1, _W)
+
+
+_GROUP_PLACES = np.array([1, 5, 9, 13], np.int8)[:, None]  # digits before each 4-digit group
+
+
+def _fields17(values: np.ndarray) -> np.ndarray:
+    """The _W-byte field of "%.17g" % v for each v of a 1-d float64 array.
+
+    For |v| in [1e-40, 1e16), E = floor(log10|v|) and N, the 17-digit integer nearest
+    |v| * 10**(16 - E), hold the digits.  Dekker's product (Numer. Math. 18, 1971) gives
+    |v| * 10**q as p + t, exact but for 10**q's double-double error: below 2**-44 of N's unit
+    (numpy fuses no multiply-add).  "%.17g" writes every other v, every v whose fraction lies
+    within 1e-6 of one half, and every v whose N is not in (10**16, 10**17): E misread by
+    log10 next to a power of ten (a v just below 10**E may then round up to N = 10**16), N
+    rounded up to 10**17, and the powers of ten themselves.
+    """
+    hi, lo, hh, hl, words, last, fields = _fmt17_tables()
+    a = np.abs(values)
+    ok = (a >= 1e-40) & (a < 1e16)
+    a[~ok] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    np.clip(e, -40, 15, out=e)  # log10 may round past either end of the range
+    q = 16 - e
+    c = a * 134217729.0  # a = ah + al and hi = hh + hl in halves of 26 bits: exact products
+    ah = c - (c - a)
+    al = a - ah
+    bh, bl = hh.take(q), hl.take(q)
+    p = a * hi.take(q)
+    t = ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * lo.take(q)
+    r = np.rint(t)
+    ok &= np.abs(t - r) < 0.5 - 1e-6
+    n = p.astype(np.int64) + r.astype(np.int64)
+    ok &= (n > 10**16) & (n < 10**17)
+    n[~ok] = 10**16
+    # The 6 words of each field: the lead digit, four 4-digit groups, then all 0xFF.
+    h = n // 10**8
+    halves = np.empty((2, len(n)))
+    halves[0], halves[1] = h, n - h * 10**8
+    q4 = np.floor(halves / 1e4)
+    lead = np.floor(q4[0] / 1e4)
+    groups = np.empty((6, len(n)), np.intp)
+    groups[0] = lead + 10000
+    groups[1] = q4[0] - lead * 1e4
+    groups[2::2] = halves - q4 * 1e4
+    groups[3] = q4[1]
+    groups[5] = 10010
+    k = np.maximum((last.take(groups[1:5]) + _GROUP_PLACES).max(0), 1)
+    out = fields.take(((e + 40) * 17 + k - 1) * 2 + np.signbit(values), 0)
+    out.view(np.uint64)[...] &= words.take(groups.T)
+    for i in np.flatnonzero(~ok).tolist():
+        text = b"%.17g" % values[i]
+        out[i] = 0
+        out[i, :len(text)] = np.frombuffer(text, np.uint8)
+        out[i, _SEP] = ord("\n")
+    return out
+
+
+def _fmt17(values: np.ndarray) -> list[str]:
+    """["%.17g" % v for v in values.tolist()] for a 1-d float64 array, _BLOCK reals at a time."""
+    texts = []
+    for start in range(0, len(values), _BLOCK):
+        block = values[start:start + _BLOCK, None]
+        texts += _rows17(np.empty((len(block), 0), np.uint8), block).splitlines()
+    return texts
+
+
+def _rows17(prefixes: np.ndarray, values: np.ndarray) -> str:
+    # Each row's NUL-padded prefix bytes, then its reals of `values` in "%.17g", joined by ","
+    # and ended by "\n": the bytes that are not NUL.
+    m, c = values.shape
+    fields = _fields17(values.ravel()).reshape(m, c, _W)
+    fields[:, :-1, _SEP] = ord(",")
+    text = np.concatenate((prefixes, fields.reshape(m, c * _W)), axis=1)
+    return text.tobytes().translate(None, b"\0").decode()
+
+
+def _padded(texts: list[str]) -> np.ndarray:
+    # The texts as rows of NUL-padded bytes.
+    rows = np.array(texts, "S")
+    return rows.view(np.uint8).reshape(len(texts), rows.itemsize)
 
 
 def results_csv(rows: list[ResultRow]) -> str:
     """Benchmark table as CSV text (deterministic except the wall_ms column)."""
+    reals = _fmt17(np.array([(r.kappa, r.x0[0], r.x0[1], r.final_f, r.final_grad_norm, r.wall_ms)
+                             for r in rows], np.float64).reshape(-1))
     fields = []
-    for r in rows:
-        fields += (r.method, r.step_rule, r.kappa, r.x0[0], r.x0[1], r.status, r.iterations,
-                   r.final_f, r.final_grad_norm, r.wall_ms)
+    for i, r in enumerate(rows):
+        kappa, x1, x2, f, g, ms = reals[6 * i:6 * i + 6]
+        fields += (r.method, r.step_rule, kappa, x1, x2, r.status, r.iterations, f, g, ms)
     return RESULTS_HEADER + "\n" + _RESULTS_ROW * len(rows) % tuple(fields)
 
 
@@ -243,8 +374,8 @@ def trajectory_csv(result: RunResult) -> str:
 
 
 def _trajectory_blocks(result: RunResult):
-    # trajectory_csv's text: the header, then one block of up to _TRAJECTORY_BLOCK records,
-    # each unpacked from its bytes as (k, *point, f, grad_norm, alpha).
+    # trajectory_csv's text: the header, then one block of records per _BLOCK reals, each read
+    # from its bytes as (k, *point, f, grad_norm, alpha).
     dim, records = len(result.final_point), result.trajectory
     # A record of trajectory_dtype(n) is 8 * (n + 4) bytes.
     n = records.dtype.itemsize // 8 - 4 if isinstance(records, np.ndarray) else 0
@@ -254,10 +385,12 @@ def _trajectory_blocks(result: RunResult):
     if n != dim:
         raise InvalidInputError(f"trajectory has {n} coordinates, not {dim}")
     yield "k," + ",".join(f"x{i + 1}" for i in range(dim)) + ",f,grad_norm,alpha\n"
-    row, fields = "%d," + "%.17g," * dim + "%.17g,%.17g,%.17g\n", f"q{dim + 3}d"
-    for start in range(0, len(records), _TRAJECTORY_BLOCK):
-        block = records[start:start + _TRAJECTORY_BLOCK]
-        yield row * len(block) % unpack("=" + fields * len(block), block.tobytes())
+    step = max(1, _BLOCK // (dim + 3))
+    for start in range(0, len(records), step):
+        block = records[start:start + step]
+        prefixes = _padded(["%d," % k for k in block["k"].tolist()])
+        reals = np.frombuffer(block.tobytes(), np.float64).reshape(len(block), dim + 4)[:, 1:]
+        yield _rows17(prefixes, reals)
 
 
 def grid_csv(grid: ContourGrid) -> str:
@@ -266,14 +399,17 @@ def grid_csv(grid: ContourGrid) -> str:
 
 
 def _grid_blocks(grid: ContourGrid):
-    # grid_csv's text: the header, then one block per x.
+    # grid_csv's text: the header, then one block of x-rows per _BLOCK values, each row's
+    # prefix "x,y," made of its x's bytes and its y's.
     n, shape = len(grid.ys), getattr(grid.values, "shape", None)
     if shape != (len(grid.xs), n):
         raise InvalidInputError(f"grid values must be {len(grid.xs)}x{n}, got shape {shape}")
-    row = "".join("%s," + fmt_real(y) + ",%.17g\n" for y in grid.ys)
-    fields = [None] * (2 * n)
+    xs, ys = (_padded([fmt_real(v) + "," for v in axis]) for axis in (grid.xs, grid.ys))
+    values = np.asarray(grid.values, np.float64)
+    step = max(1, _BLOCK // max(n, 1))
     yield "x,y,f\n"
-    for x, values in zip(grid.xs, grid.values):
-        fields[::2] = [fmt_real(x)] * n
-        fields[1::2] = values.tolist()
-        yield row % tuple(fields)
+    for i in range(0, len(xs), step):
+        block = values[i:i + step]
+        prefixes = np.concatenate((np.repeat(xs[i:i + step], n, 0), np.tile(ys, (len(block), 1))),
+                                  axis=1)
+        yield _rows17(prefixes, block.reshape(-1, 1))

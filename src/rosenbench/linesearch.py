@@ -27,11 +27,19 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .errors import (InvalidDirectionError, InvalidInputError, LineSearchFailedError,
                      as_vector, check_count, check_real, real_array)
 from .objectives import Objective, QuadraticObjective, RosenbrockObjective
+
+try:
+    from numpy.linalg._umath_linalg import solve1 as _solve1
+except ImportError:  # a numpy that moved its private gufunc; np.linalg.solve calls the same one
+    def _solve1(rows, y, signature=None):
+        try:
+            return np.linalg.solve(rows, y)
+        except np.linalg.LinAlgError:  # singular: the nan coefficients that the gufunc gives
+            return np.full(3, math.nan)
 
 # Golden ratio conjugate: bracket width shrinks by this factor per probe.
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

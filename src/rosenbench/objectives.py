@@ -14,6 +14,7 @@ serve as an independent check on any analytic derivative.
 from __future__ import annotations
 
 import math
+import reprlib
 from collections.abc import Callable
 from typing import Protocol
 
@@ -143,7 +144,9 @@ class QuadraticObjective:
         self.dim = b.size
 
     def __repr__(self) -> str:
-        return f"QuadraticObjective(Q={self.Q.tolist()!r}, b={self.b.tolist()!r})"
+        # reprlib cuts a large Q or b short, as every refusal in errors.py does.
+        Q, b = reprlib.repr(self.Q.tolist()), reprlib.repr(self.b.tolist())
+        return f"QuadraticObjective(Q={Q}, b={b})"
 
     # A point whose value or gradient overflows gives inf or nan without a numpy warning.
     def value(self, x) -> float:

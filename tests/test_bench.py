@@ -281,6 +281,21 @@ class TestContourGrid:
         assert np.isfinite(grid.values[0]).all() and (grid.values[1:] == math.inf).all()
         assert text.count(",inf\n") == 6
 
+    def test_values_are_filled_without_grid_sized_temporaries(self):
+        # One block of x-rows at a time: the peak is the values and one block, not f's
+        # operations on the whole grid (3.06 times the values in one broadcast).
+        contour_grid(100.0)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            grid = contour_grid(100.0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert grid.values.shape == (401, 401)
+        assert peak < 1.5 * grid.values.nbytes
+
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(InvalidInputError):
             contour_grid(1.0, (1.0, 1.0), (0.0, 1.0), 11)
@@ -481,6 +496,54 @@ class TestCsvBytes:
                               r.final_grad_norm, r.trajectory)
         with pytest.raises(InvalidInputError, match=f"trajectory has 2 coordinates, not {dim}"):
             trajectory_csv(rewrapped)
+
+
+def fmt17_matches(values):
+    values = np.asarray(values, np.float64)
+    return bench._fmt17(values) == ["%.17g" % v for v in values.tolist()]
+
+
+class TestFmt17:
+    """bench._fmt17 writes every float64 as "%.17g" does, in numpy or through "%.17g" itself."""
+
+    FLOATS = st.lists(st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)), max_size=3)
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(FLOATS)
+    def test_up_to_three_floats(self, floats):
+        assert fmt17_matches(floats)
+
+    # The floats sit at the end of one block of _BLOCK reals and the start of the next.
+    @BYTES_SETTINGS
+    @given(FLOATS, st.sampled_from((-1, 0, 1)))
+    def test_floats_across_a_block_edge(self, floats, shift):
+        values = np.linspace(-3.0, 7.0, bench._BLOCK + 3)
+        at = bench._BLOCK - 1 + shift
+        values[at:at + len(floats)] = floats
+        assert fmt17_matches(values)
+
+    def test_random_bit_patterns_and_magnitudes(self):
+        rng = np.random.default_rng(33)
+        bits = rng.integers(0, 2**64, 2**18, dtype=np.uint64).view(np.float64)
+        magnitudes = np.exp(rng.uniform(-100.0, 50.0, 2**18)) * rng.choice((-1.0, 1.0), 2**18)
+        assert fmt17_matches(bits) and fmt17_matches(magnitudes)
+
+    @pytest.mark.parametrize("kappa", [1.0, 100.0])
+    def test_every_value_of_the_default_grids(self, kappa):
+        assert fmt17_matches(contour_grid(kappa).values.ravel())
+
+    # One value of each kind that the numpy path leaves to "%.17g".
+    @pytest.mark.parametrize("v", [
+        123456789012345.125,  # 12345678901234512.5 at 17 digits: a tie
+        1e-14,  # just below 10**-14, so its 17 digits round up to 10**17
+        1e-06,  # just below 10**-6, where log10 reads -6 and 16 digits round up to 10**16
+        1000.0,  # a power of ten: N = 10**16
+        1e16, 9.9999999999999999e15, np.nextafter(1e-40, 0.0),  # beyond the tables' E
+        0.0, -0.0, 5e-324, -1e-310,  # zero and subnormals
+        math.nan, math.inf, -math.inf,
+    ])
+    def test_values_left_to_percent_g(self, v):
+        assert fmt17_matches([v]) and fmt17_matches([1.5, v, -2.25])
 
 
 def records_digest(result):

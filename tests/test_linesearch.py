@@ -1,7 +1,11 @@
 """Tests for the step-size selection rules."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,6 +350,42 @@ class TestQuadraticFit:
             else:
                 assert got == min((v, s) for v, s in zip(y, samples) if s > 0.0)[1]
         assert 0.3 * n < vertices < 0.7 * n
+
+
+# The quadfit cells of the study, a seeded random-quadfit run and both singular fits, printed by
+# a fresh interpreter in which `numpy.linalg._umath_linalg` may lack `solve1`.
+SOLVE1_CASES = """
+import sys, types, numpy
+if sys.argv[1] == "hidden":
+    sys.modules["numpy.linalg._umath_linalg"] = types.ModuleType("numpy.linalg._umath_linalg")
+from rosenbench import (QuadraticFit, RandomQuadraticFit, RosenbrockObjective, linesearch,
+                        steepest_descent)
+print(type(linesearch._solve1).__name__)
+for kappa, start, rule in [(1.0, (2.0, 2.0), QuadraticFit()), (100.0, (5.0, 5.0), QuadraticFit()),
+                           (100.0, (2.0, 2.0), RandomQuadraticFit(seed=3))]:
+    r = steepest_descent(RosenbrockObjective(kappa), start, rule, record_trajectory=False)
+    print(r.status.value, r.iterations, r.final_point.tolist(), r.final_value)
+line = lambda t: (t - 1.0) ** 2
+print(QuadraticFit((0.0, 1e-200, 2e-200)).select(line))
+print(QuadraticFit((1e-300, 2e-300, 3e-300)).select(lambda t: 1e300 * (t * 1e300 - 2.0) ** 2))
+"""
+
+
+def test_fit_without_the_private_solve1_falls_back_to_np_linalg_solve():
+    # A numpy whose _umath_linalg has no solve1 gets np.linalg.solve, which calls the same
+    # gufunc: the same bits, and a singular fit (LinAlgError there) takes the same fallback.
+    src = str(Path(linesearch.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = {}
+    for how in ("hidden", "present"):
+        done = subprocess.run([sys.executable, "-W", "error", "-c", SOLVE1_CASES, how], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        out[how] = done.stdout.splitlines()
+    assert (out["hidden"][0], out["present"][0]) == ("function", "ufunc")
+    assert out["hidden"][1:] == out["present"][1:]
+    assert out["hidden"][-2:] == ["1e-200", "2e-300"]
 
 
 def golden_or_none(lo, width, tol):

@@ -226,6 +226,12 @@ class TestQuadraticObjective:
         q = QuadraticObjective(Q, [0.0, 0.0])
         assert_allclose(q.hessian([5.0, -5.0]), Q, rtol=0, atol=0)
 
+    def test_repr_is_bounded(self):
+        assert repr(QuadraticObjective(np.eye(2), [1.0, 2.0])) == (
+            "QuadraticObjective(Q=[[1.0, 0.0], [0.0, 1.0]], b=[1.0, 2.0])")
+        text = repr(QuadraticObjective(np.eye(300), np.zeros(300)))  # 452,126 characters unbounded
+        assert text.startswith("QuadraticObjective(Q=[[1.0, 0.0,") and len(text) < 1000
+
     def test_asymmetric_rejected(self):
         with pytest.raises(InvalidInputError):
             QuadraticObjective([[1.0, 0.5], [0.4, 1.0]], [0.0, 0.0])
