@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncomparableVariantsError, InvalidInputError, as_vector, check_count, check_real
+from .errors import (IncomparableVariantsError, InvalidInputError, as_vector, check_count,
+                     check_real, real_array)
 from .linesearch import (
     Fixed,
     GoldenSection,
@@ -224,9 +225,10 @@ def contour_grid(
 
 RESULTS_HEADER = "method,step_rule,kappa,x0_1,x0_2,status,iterations,final_f,final_grad_norm,wall_ms"
 
-# Every CSV real is "%.17g", as fmt_real formats it, but the writers format _BLOCK reals at a
-# time in numpy (_fields17) and fill a block of rows with one `%` or one translate.
-_RESULTS_ROW = "%s,%s,%s,%s,%s,%s,%d,%s,%s,%s\n"
+# Every CSV real is "%.17g", as fmt_real formats it.  results_csv fills this row for each of
+# the study's rows with one `%`; the grid and trajectory writers format _BLOCK reals at a time
+# in numpy (_rows17), whose fixed cost only their hundreds of thousands of reals repay.
+_RESULTS_ROW = "%s,%s,%.17g,%.17g,%.17g,%s,%d,%.17g,%.17g,%.17g\n"
 
 # A real's field in _fields17 is _W bytes, and the text keeps those that are not NUL:
 #   0       the sign "-"
@@ -329,15 +331,6 @@ def _fields17(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fmt17(values: np.ndarray) -> list[str]:
-    """["%.17g" % v for v in values.tolist()] for a 1-d float64 array, _BLOCK reals at a time."""
-    texts = []
-    for start in range(0, len(values), _BLOCK):
-        block = values[start:start + _BLOCK, None]
-        texts += _rows17(np.empty((len(block), 0), np.uint8), block).splitlines()
-    return texts
-
-
 def _rows17(prefixes: np.ndarray, values: np.ndarray) -> str:
     # Each row's NUL-padded prefix bytes, then its reals of `values` in "%.17g", joined by ","
     # and ended by "\n": the bytes that are not NUL.
@@ -356,12 +349,10 @@ def _padded(texts: list[str]) -> np.ndarray:
 
 def results_csv(rows: list[ResultRow]) -> str:
     """Benchmark table as CSV text (deterministic except the wall_ms column)."""
-    reals = _fmt17(np.array([(r.kappa, r.x0[0], r.x0[1], r.final_f, r.final_grad_norm, r.wall_ms)
-                             for r in rows], np.float64).reshape(-1))
     fields = []
-    for i, r in enumerate(rows):
-        kappa, x1, x2, f, g, ms = reals[6 * i:6 * i + 6]
-        fields += (r.method, r.step_rule, kappa, x1, x2, r.status, r.iterations, f, g, ms)
+    for r in rows:
+        fields += (r.method, r.step_rule, r.kappa, r.x0[0], r.x0[1], r.status, r.iterations,
+                   r.final_f, r.final_grad_norm, r.wall_ms)
     return RESULTS_HEADER + "\n" + _RESULTS_ROW * len(rows) % tuple(fields)
 
 
@@ -401,11 +392,14 @@ def grid_csv(grid: ContourGrid) -> str:
 def _grid_blocks(grid: ContourGrid):
     # grid_csv's text: the header, then one block of x-rows per _BLOCK values, each row's
     # prefix "x,y," made of its x's bytes and its y's.
-    n, shape = len(grid.ys), getattr(grid.values, "shape", None)
-    if shape != (len(grid.xs), n):
-        raise InvalidInputError(f"grid values must be {len(grid.xs)}x{n}, got shape {shape}")
-    xs, ys = (_padded([fmt_real(v) + "," for v in axis]) for axis in (grid.xs, grid.ys))
-    values = np.asarray(grid.values, np.float64)
+    x, y = real_array(grid.xs, "grid xs"), real_array(grid.ys, "grid ys")
+    values = real_array(grid.values, "grid values")
+    if x.ndim != 1 or y.ndim != 1:
+        raise InvalidInputError(f"grid xs and ys must be 1-d, got shapes {x.shape} and {y.shape}")
+    n = len(y)
+    if values.shape != (len(x), n):
+        raise InvalidInputError(f"grid values must be {len(x)}x{n}, got shape {values.shape}")
+    xs, ys = (_padded([fmt_real(v) + "," for v in axis]) for axis in (x, y))
     step = max(1, _BLOCK // max(n, 1))
     yield "x,y,f\n"
     for i in range(0, len(xs), step):

@@ -326,6 +326,12 @@ class TestCsvEmission:
         text = results_csv([])
         assert text == RESULTS_HEADER + "\n"
 
+    def test_results_csv_builds_no_numpy_tables(self, rows):
+        # The study's 288 reals go through one "%.17g" template, not the grid writers' kernel.
+        bench._fmt17_tables.cache_clear()
+        assert results_csv(rows) and results_csv([])
+        assert bench._fmt17_tables.cache_info().currsize == 0
+
     def test_single_row_two_lines(self):
         text = results_csv([synthetic_row("fixed:0.124", 5)])
         lines = text.splitlines()
@@ -468,6 +474,24 @@ class TestCsvBytes:
         with pytest.raises(InvalidInputError, match="grid values must be 2x3"):
             grid_csv(ContourGrid(1.0, np.zeros(2), np.zeros(3), np.zeros(shape)))
 
+    # Axes and values are judged as reals: none is parsed, cast to 1/0 or cut to its real part.
+    NOT_A_GRID = {
+        "text-xs": ((np.array(["0", "1"]), np.zeros(3), np.zeros((2, 3))), "grid xs must be"),
+        "text-values": ((np.zeros(2), np.zeros(3), np.full((2, 3), "1")), "grid values must be"),
+        "bool-values": ((np.zeros(2), np.zeros(3), np.ones((2, 3), bool)), "grid values must be"),
+        "complex-values": ((np.zeros(2), np.zeros(3), np.full((2, 3), 1 + 2j)),
+                           "grid values must be"),
+        "2-d-ys": ((np.zeros(2), np.zeros((3, 1)), np.zeros((2, 3))), "grid xs and ys must be 1-d"),
+    }
+
+    @pytest.mark.parametrize("case", NOT_A_GRID)
+    def test_grid_of_not_reals_refused(self, case):
+        (xs, ys, values), message = self.NOT_A_GRID[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=message):
+                grid_csv(ContourGrid(1.0, xs, ys, values))
+
     # A record array cannot be ragged; what is not one of trajectory_dtype(2) is refused.
     NOT_RECORDS = {
         "empty-list": lambda: [],
@@ -500,11 +524,12 @@ class TestCsvBytes:
 
 def fmt17_matches(values):
     values = np.asarray(values, np.float64)
-    return bench._fmt17(values) == ["%.17g" % v for v in values.tolist()]
+    texts = bench._rows17(np.empty((len(values), 0), np.uint8), values[:, None]).splitlines()
+    return texts == ["%.17g" % v for v in values.tolist()]
 
 
 class TestFmt17:
-    """bench._fmt17 writes every float64 as "%.17g" does, in numpy or through "%.17g" itself."""
+    """bench._rows17 writes every float64 as "%.17g" does, in numpy or through "%.17g" itself."""
 
     FLOATS = st.lists(st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)), max_size=3)
 
@@ -513,14 +538,18 @@ class TestFmt17:
     def test_up_to_three_floats(self, floats):
         assert fmt17_matches(floats)
 
-    # The floats sit at the end of one block of _BLOCK reals and the start of the next.
+    # The floats sit at the end of grid_csv's first block of x-rows (_BLOCK // 3 rows of 3
+    # values) and the start of the next.
     @BYTES_SETTINGS
     @given(FLOATS, st.sampled_from((-1, 0, 1)))
     def test_floats_across_a_block_edge(self, floats, shift):
-        values = np.linspace(-3.0, 7.0, bench._BLOCK + 3)
-        at = bench._BLOCK - 1 + shift
+        edge = bench._BLOCK // 3 * 3
+        values = np.linspace(-3.0, 7.0, edge + 6)
+        at = edge - 1 + shift
         values[at:at + len(floats)] = floats
-        assert fmt17_matches(values)
+        grid = ContourGrid(1.0, np.linspace(-2.0, 6.0, len(values) // 3),
+                           np.array([0.5, 1 / 3, -2.0]), values.reshape(-1, 3))
+        assert grid_csv(grid) == reference_grid_csv(grid)
 
     def test_random_bit_patterns_and_magnitudes(self):
         rng = np.random.default_rng(33)
