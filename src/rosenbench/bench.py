@@ -331,13 +331,13 @@ def _fields17(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rows17(prefixes: np.ndarray, values: np.ndarray) -> str:
-    # Each row's NUL-padded prefix bytes, then its reals of `values` in "%.17g", joined by ","
+def _rows17(values: np.ndarray, *columns: np.ndarray) -> str:
+    # Each row's NUL-padded text `columns`, then its reals of `values` in "%.17g", joined by ","
     # and ended by "\n": the bytes that are not NUL.
     m, c = values.shape
     fields = _fields17(values.ravel()).reshape(m, c, _W)
     fields[:, :-1, _SEP] = ord(",")
-    text = np.concatenate((prefixes, fields.reshape(m, c * _W)), axis=1)
+    text = np.concatenate((*columns, fields.reshape(m, c * _W)), axis=1)
     return text.tobytes().translate(None, b"\0").decode()
 
 
@@ -359,29 +359,26 @@ def results_csv(rows: list[ResultRow]) -> str:
 def trajectory_csv(result: RunResult) -> str:
     """Iterate history as CSV, one coordinate column per dimension of `final_point`.
 
-    The trajectory must be an array of trajectory_dtype(dim), whose records are written from
-    their bytes."""
+    The trajectory must be a 1-d array of trajectory_dtype(dim), whose records are written
+    from their fields."""
     return "".join(_trajectory_blocks(result))
 
 
 def _trajectory_blocks(result: RunResult):
-    # trajectory_csv's text: the header, then one block of records per _BLOCK reals, each read
-    # from its bytes as (k, *point, f, grad_norm, alpha).
+    # trajectory_csv's text: the header, then one block of records per _BLOCK reals, each
+    # written from its fields as (k, *point, value, grad_norm, alpha_used).
     dim, records = len(result.final_point), result.trajectory
-    # A record of trajectory_dtype(n) is 8 * (n + 4) bytes.
-    n = records.dtype.itemsize // 8 - 4 if isinstance(records, np.ndarray) else 0
-    if n < 1 or records.ndim != 1 or records.dtype != trajectory_dtype(n):
-        raise InvalidInputError("trajectory must be a 1-d array of (k, point, value, grad_norm, "
-                                f"alpha_used) records, got {reprlib.repr(records)}")
-    if n != dim:
-        raise InvalidInputError(f"trajectory has {n} coordinates, not {dim}")
+    if not (dim >= 1 and isinstance(records, np.ndarray) and records.ndim == 1
+            and records.dtype == trajectory_dtype(dim)):
+        raise InvalidInputError(f"trajectory must be a 1-d array of trajectory_dtype({dim}) "
+                                f"records, got {reprlib.repr(records)}")
     yield "k," + ",".join(f"x{i + 1}" for i in range(dim)) + ",f,grad_norm,alpha\n"
     step = max(1, _BLOCK // (dim + 3))
     for start in range(0, len(records), step):
         block = records[start:start + step]
-        prefixes = _padded(["%d," % k for k in block["k"].tolist()])
-        reals = np.frombuffer(block.tobytes(), np.float64).reshape(len(block), dim + 4)[:, 1:]
-        yield _rows17(prefixes, reals)
+        reals = np.column_stack((block["point"], block["value"], block["grad_norm"],
+                                 block["alpha_used"]))
+        yield _rows17(reals, _padded(["%d," % k for k in block["k"].tolist()]))
 
 
 def grid_csv(grid: ContourGrid) -> str:
@@ -391,7 +388,7 @@ def grid_csv(grid: ContourGrid) -> str:
 
 def _grid_blocks(grid: ContourGrid):
     # grid_csv's text: the header, then one block of x-rows per _BLOCK values, each row's
-    # prefix "x,y," made of its x's bytes and its y's.
+    # text columns "x," and "y," before its value.
     x, y = real_array(grid.xs, "grid xs"), real_array(grid.ys, "grid ys")
     values = real_array(grid.values, "grid values")
     if x.ndim != 1 or y.ndim != 1:
@@ -404,6 +401,5 @@ def _grid_blocks(grid: ContourGrid):
     yield "x,y,f\n"
     for i in range(0, len(xs), step):
         block = values[i:i + step]
-        prefixes = np.concatenate((np.repeat(xs[i:i + step], n, 0), np.tile(ys, (len(block), 1))),
-                                  axis=1)
-        yield _rows17(prefixes, block.reshape(-1, 1))
+        yield _rows17(block.reshape(-1, 1), np.repeat(xs[i:i + step], n, 0),
+                      np.tile(ys, (len(block), 1)))

@@ -41,7 +41,6 @@ from .bench import (
     rule_label,
     run_matrix,
     run_method,
-    status_label,
 )
 from .errors import InvalidInputError
 from .linesearch import parse_rule
@@ -134,7 +133,7 @@ def _cmd_run(config) -> int:
                         record_trajectory=config.traj is not None)
     point = ",".join(fmt_real(c) for c in result.final_point)
     print(
-        f"{status_label(result)} method={config.method} rule={rule_label(config.step)} "
+        f"{result.status.value} method={config.method} rule={rule_label(config.step)} "
         f"kappa={fmt_real(config.kappa)} iterations={result.iterations} x={point} "
         f"f={fmt_real(result.final_value)} grad_norm={fmt_real(result.final_grad_norm)}"
     )

@@ -426,11 +426,13 @@ class TestCsvBytes:
                           v[3], v[4], v[5], (v[6],)) for v, iterations, status in cells]
         assert results_csv(rows) == reference_results_csv(rows)
 
-    # 1,024 records go to one `%`: lengths on both sides of the block edges.
+    # A block is e = _BLOCK // (dim + 3) records: lengths on both sides of its edges.
     @BYTES_SETTINGS
-    @given(st.sampled_from((1, 2, 3, 7)), st.sampled_from((0, 1, 2, 1023, 1024, 1025, 2049)),
+    @given(st.sampled_from((1, 2, 3, 7)), st.sampled_from(range(7)),
            st.lists(reals, min_size=1, max_size=40))
-    def test_trajectory_csv(self, dim, n, floats):
+    def test_trajectory_csv(self, dim, length, floats):
+        e = bench._BLOCK // (dim + 3)
+        n = (0, 1, 2, e - 1, e, e + 1, 2 * e + 1)[length]
         result = run_result(records(dim, n, floats), dim)
         assert trajectory_csv(result) == reference_trajectory_csv(result)
 
@@ -457,7 +459,7 @@ class TestCsvBytes:
     @pytest.mark.parametrize("how", ["copy", "every-7th"])
     def test_copied_or_strided_trajectory(self, how):
         # A copy owns its bytes and a strided view skips records; each writes the records it
-        # holds, across the edges of the 1,024-record blocks.
+        # holds, across the edges of the 819-record blocks of dim 2.
         result = TestRecordsBuiltWhenRead.CASES["valley-sd"][0]()
         held = result.trajectory.copy() if how == "copy" else result.trajectory[::7]
         assert len(held) >= 1025
@@ -513,18 +515,26 @@ class TestCsvBytes:
 
     @pytest.mark.parametrize("dim", [1, 3, 5])
     def test_packed_rows_of_another_dimension_refused(self, dim):
-        # 7 rows of width 6 are 42 floats, which width 7 (dim 3) would regroup as 6 rows.
+        # A 2-d run's records under a final_point of another length; read as 8-byte words,
+        # its 7 rows of 6 would regroup as 6 rows of 7 (dim 3).
         r = steepest_descent(RosenbrockObjective(1.0), (2.0, 2.0), Fixed(1e-3),
                              TerminationPolicy(max_iterations=6))
         rewrapped = RunResult(r.status, r.iterations, np.zeros(dim), r.final_value,
                               r.final_grad_norm, r.trajectory)
-        with pytest.raises(InvalidInputError, match=f"trajectory has 2 coordinates, not {dim}"):
+        with pytest.raises(InvalidInputError,
+                           match=rf"trajectory must be a 1-d array of trajectory_dtype\({dim}\) "):
             trajectory_csv(rewrapped)
+
+    def test_records_without_coordinates_refused(self):
+        # Records of trajectory_dtype(0) would be written under a header of one more column.
+        trajectory = np.zeros(3, trajectory_dtype(0))
+        with pytest.raises(InvalidInputError, match="trajectory must be a 1-d array of "):
+            trajectory_csv(run_result(trajectory, 0))
 
 
 def fmt17_matches(values):
     values = np.asarray(values, np.float64)
-    texts = bench._rows17(np.empty((len(values), 0), np.uint8), values[:, None]).splitlines()
+    texts = bench._rows17(values[:, None]).splitlines()
     return texts == ["%.17g" % v for v in values.tolist()]
 
 
